@@ -31,12 +31,8 @@ from .construction import (
     ProjClass,
     ZeroPair,
     augmented_hypergraph,
-    class_of,
-    classes,
     furedi_hypergraph,
     hard_instance,
-    list_of_class,
-    origin_line,
     verify_design,
 )
 from .gf import FiniteField, NotPrimePower, OrderUnavailable, ZeroHasNoOrder
@@ -48,7 +44,6 @@ from .oracle import (
     canonical_form,
     complete_graph,
     conjecture_probe,
-    enumerate_canonical_assignments,
     exact_chi_l_complete,
     exact_chi_l_graph,
     iter_canonical_assignments,
@@ -60,6 +55,7 @@ from .solver import (
     ValidityReport,
     VertexColorGraph,
     build_adjacency,
+    check_certificate,
     colorable,
     max_matching,
     validate_assignment,

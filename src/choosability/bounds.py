@@ -50,11 +50,19 @@ def check_admissible(q: int, c: int) -> None:
 
 # -- primality and prime powers ---------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the least strong pseudoprime to the first 13 prime bases
+# (Sorenson and Webster 2015), so these bases are exact below it
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n below 3.3 * 10**24."""
+    """Deterministic Miller-Rabin, exact for n below psi_13 = 3317044064679887385961981.
+
+    Raises ValueError for larger n rather than guess.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -63,8 +63,9 @@ def cmd_construct(args) -> int:
 def cmd_solve(args) -> int:
     assignment = formats.loads_instance(_read(args.instance))
     result = solver.colorable(assignment)
-    if result.colorable and not solver.verify_coloring(assignment, result.coloring):
-        raise AssertionError("solver produced a coloring that fails verification")
+    ok, reason = solver.check_certificate(assignment, result)
+    if not ok:
+        raise AssertionError(f"solver produced a certificate that fails its check: {reason}")
     _emit(formats.dumps_certificate(result), args.out)
     return EXIT_OK if result.colorable else EXIT_NOT_COLORABLE
 
@@ -195,27 +196,6 @@ def cmd_probe(args) -> int:
 
 # -- verify ----------------------------------------------------------------
 
-def _certificate_consistent(assignment, certificate) -> tuple[bool, str]:
-    if certificate.colorable:
-        if solver.verify_coloring(assignment, certificate.coloring):
-            return True, "coloring is proper and drawn from the lists"
-        return False, "coloring is not a proper coloring of the instance"
-    violator_s, claimed_neighborhood = certificate.violator
-    if not violator_s:
-        return False, "violator set is empty"
-    if len(set(violator_s)) != len(violator_s) or not all(
-            0 <= v < assignment.n for v in violator_s):
-        return False, "violator set references vertices outside the instance"
-    actual: set[int] = set()
-    for v in violator_s:
-        actual.update(assignment.lists[v])
-    if tuple(sorted(actual)) != tuple(sorted(claimed_neighborhood)):
-        return False, "claimed neighborhood differs from the recounted one"
-    if len(actual) >= len(violator_s):
-        return False, "claimed violator does not violate Hall's condition"
-    return True, "violator recount confirms |N(S)| < |S|"
-
-
 def cmd_verify(args) -> int:
     assignment = formats.loads_instance(_read(args.instance))
     report = solver.validate_assignment(assignment, assignment.k, assignment.c)
@@ -223,7 +203,7 @@ def cmd_verify(args) -> int:
     cert_note = None
     if args.certificate is not None:
         certificate = formats.loads_certificate(_read(args.certificate))
-        cert_ok, cert_note = _certificate_consistent(assignment, certificate)
+        cert_ok, cert_note = solver.check_certificate(assignment, certificate)
     if args.json:
         payload = {
             "valid": report.valid,
@@ -319,7 +299,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FormatError, AdmissibilityViolated, SearchTooLarge, OrderUnavailable,
-            NotPrimePower, ValueError, OSError) as exc:
+            NotPrimePower, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from .bounds import check_admissible
 from .gf import FiniteField
 from .instances import ListAssignment
+from .solver import overlap_rows
 
 
 class ZeroPair(ValueError):
@@ -53,12 +55,15 @@ class Hypergraph:
     intersection_cap: int
 
 
+_BY_ID = attrgetter("id")
+
+
 class ClassSpace:
     """The classes of GF(q) x GF(q) minus the origin under scaling by H.
 
-    Precomputes the subgroup H, the canonical representative of every
-    nonzero pair, and the id-ordered class list, so membership and
-    incidence queries are dictionary lookups. Immutable once built.
+    Precomputes the subgroup H and the class of every nonzero pair, so
+    membership and incidence queries are dictionary lookups. Immutable
+    once built.
     """
 
     def __init__(self, fld: FiniteField, c: int):
@@ -66,30 +71,24 @@ class ClassSpace:
         self.field = fld
         self.c = c
         self.subgroup_gen = fld.element_of_order(c)
-        subgroup = []
-        t = 1
-        for _ in range(c):
-            subgroup.append(t)
-            t = fld.mul(t, self.subgroup_gen)
-        self.subgroup = frozenset(subgroup)
+        self.subgroup = frozenset(fld.pow(self.subgroup_gen, i) for i in range(c))
 
-        rep_of_pair: dict[tuple[int, int], tuple[int, int]] = {}
-        reps: list[tuple[int, int]] = []
+        # scanning pairs in lexicographic order meets every orbit first at
+        # its smallest member, so classes come out in representative order
+        self._class_of_pair: dict[tuple[int, int], ProjClass] = {}
+        classes: list[ProjClass] = []
         for a in range(q):
             for b in range(q):
-                if (a == 0 and b == 0) or (a, b) in rep_of_pair:
+                if (a == 0 and b == 0) or (a, b) in self._class_of_pair:
                     continue
-                orbit = {(fld.mul(t, a), fld.mul(t, b)) for t in subgroup}
+                cls = ProjClass(a, b, len(classes))
+                orbit = {(fld.mul(t, a), fld.mul(t, b)) for t in self.subgroup}
                 if len(orbit) != c:
                     raise AssertionError("scaling action is not free")
-                rep = min(orbit)
                 for pair in orbit:
-                    rep_of_pair[pair] = rep
-                reps.append(rep)
-        reps.sort()
-        self._classes = tuple(ProjClass(a, b, i) for i, (a, b) in enumerate(reps))
-        self._by_rep = {(cls.a, cls.b): cls for cls in self._classes}
-        self._rep_of_pair = rep_of_pair
+                    self._class_of_pair[pair] = cls
+                classes.append(cls)
+        self._classes = tuple(classes)
 
     def classes(self) -> tuple[ProjClass, ...]:
         return self._classes
@@ -97,53 +96,37 @@ class ClassSpace:
     def class_of(self, a: int, b: int) -> ProjClass:
         if a == 0 and b == 0:
             raise ZeroPair("(0, 0) does not belong to any class")
-        return self._by_rep[self._rep_of_pair[(a, b)]]
+        return self._class_of_pair[(a, b)]
 
     def list_of_class(self, cls: ProjClass) -> tuple[ProjClass, ...]:
         """The q classes <x,y> with a*x + b*y in H, in id order.
 
         Membership only depends on the classes involved, not on the chosen
-        representatives, because H is closed under multiplication.
+        representatives, because H is closed under multiplication. Each
+        member class has exactly one pair with a*x + b*y = 1 (scaling by t
+        multiplies the sum by t), so the q solutions of that equation, with
+        y = (1 - a*x) / b for every x when b != 0 and x = 1/a for every y
+        otherwise, name the q members directly.
         """
         fld = self.field
         a, b = cls.a, cls.b
-        return tuple(
-            other for other in self._classes
-            if fld.add(fld.mul(a, other.a), fld.mul(b, other.b)) in self.subgroup
-        )
+        if b:
+            inv_b = fld.inv(b)
+            pairs = ((x, fld.mul(inv_b, fld.sub(1, fld.mul(a, x)))) for x in fld.elements())
+        else:
+            pairs = ((fld.inv(a), y) for y in fld.elements())
+        return tuple(sorted((self._class_of_pair[pair] for pair in pairs), key=_BY_ID))
 
     def origin_line(self, slope: int) -> tuple[ProjClass, ...]:
         """The (q-1)/c classes of the punctured line y = slope * x, id order."""
         fld = self.field
-        ids = {self.class_of(x, fld.mul(slope, x)) for x in range(1, fld.q)}
-        return tuple(sorted(ids, key=lambda cls: cls.id))
+        members = {self.class_of(x, fld.mul(slope, x)) for x in range(1, fld.q)}
+        return tuple(sorted(members, key=_BY_ID))
 
 
 @lru_cache(maxsize=None)
 def _space(q: int, c: int) -> ClassSpace:
     return ClassSpace(FiniteField(q), c)
-
-
-# -- operations on an explicit field ------------------------------------------
-
-def classes(fld: FiniteField, c: int) -> list[ProjClass]:
-    """All (q^2-1)/c classes, sorted by canonical representative."""
-    return list(ClassSpace(fld, c).classes())
-
-
-def class_of(fld: FiniteField, c: int, a: int, b: int) -> ProjClass:
-    """The class containing the pair (a, b) != (0, 0)."""
-    return ClassSpace(fld, c).class_of(a, b)
-
-
-def list_of_class(fld: FiniteField, c: int, cls: ProjClass) -> tuple[ProjClass, ...]:
-    """The incidence list attached to a class; always q classes."""
-    return ClassSpace(fld, c).list_of_class(cls)
-
-
-def origin_line(fld: FiniteField, c: int, slope: int) -> tuple[ProjClass, ...]:
-    """Classes of solutions of y = slope * x, excluding the origin."""
-    return ClassSpace(fld, c).origin_line(slope)
 
 
 # -- hypergraphs and the hard instance ---------------------------------------
@@ -243,18 +226,12 @@ def verify_design(hypergraph: Hypergraph, q: int, c: int) -> DesignReport:
                 mask |= 1 << v
         masks.append(mask)
 
-    max_intersection = 0
     sizes = set()
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            size = (masks[i] & masks[j]).bit_count()
-            sizes.add(size)
-            if size > max_intersection:
-                max_intersection = size
-            if size > c:
-                violations.append(
-                    f"edges {i} and {j} intersect in {size} > {c} vertices"
-                )
+    for i, row in overlap_rows(masks):
+        sizes.update(row)
+        if max(row, default=0) > c:
+            violations.extend(f"edges {i} and {j} intersect in {size} > {c} vertices"
+                              for j, size in enumerate(row, i + 1) if size > c)
 
     histogram: dict[int, int] = {}
     for d in degrees:
@@ -265,7 +242,7 @@ def verify_design(hypergraph: Hypergraph, q: int, c: int) -> DesignReport:
         n_edges=len(hypergraph.edges),
         uniformity=q,
         intersection_cap=c,
-        max_intersection=max_intersection,
+        max_intersection=max(sizes, default=0),
         intersection_sizes=tuple(sorted(sizes)),
         degree_histogram=dict(sorted(histogram.items())),
         violations=violations,

@@ -40,6 +40,15 @@ def dumps_instance(assignment: ListAssignment) -> str:
     return json.dumps(instance_to_json_dict(assignment), separators=(",", ":")) + "\n"
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nesting is too deep") from exc
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise FormatError(message)
@@ -80,11 +89,7 @@ def instance_from_json_dict(data) -> ListAssignment:
 
 
 def loads_instance(text: str) -> ListAssignment:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return instance_from_json_dict(data)
+    return instance_from_json_dict(_parse_json(text))
 
 
 def instance_to_text(assignment: ListAssignment) -> str:
@@ -131,11 +136,7 @@ def certificate_from_json_dict(data) -> ColorabilityResult:
 
 
 def loads_certificate(text: str) -> ColorabilityResult:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return certificate_from_json_dict(data)
+    return certificate_from_json_dict(_parse_json(text))
 
 
 # -- files ------------------------------------------------------------------------

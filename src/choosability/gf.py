@@ -102,11 +102,13 @@ def _divisors(n: int) -> list[int]:
 class FiniteField:
     """Arithmetic context for GF(q), q = p^m, over integer-encoded elements.
 
-    Prime fields compute directly modulo p. Extension fields build
-    exponent/logarithm tables over a primitive element once at
-    construction, so multiplication and inversion are table lookups. The
-    tables are an internal optimization only; every result is determined
-    by the modulus choice.
+    Every field, prime fields included (GF(p) = GF(p)[x]/(x)), builds its
+    tables once at construction: addition, negation and multiplication
+    tables plus exponent/logarithm tables over a primitive element, so
+    every operation is a range check and a lookup. The tables are an
+    internal optimization only; every result is determined by the modulus
+    choice. `modulus` is None for prime fields. The add and mul tables hold
+    q^2 entries each, which bounds the field orders worth building.
 
     Immutable after construction and safe for concurrent reads.
     """
@@ -116,12 +118,9 @@ class FiniteField:
         self.q = q
         self.p = p
         self.m = m
-        self.modulus: tuple[int, ...] | None = None
-        self._exp: list[int] = []
-        self._log: list[int] = []
-        if m > 1:
-            self.modulus = smallest_irreducible(p, m)
-            self._build_tables()
+        modulus = smallest_irreducible(p, m)
+        self.modulus: tuple[int, ...] | None = modulus if m > 1 else None
+        self._build_tables(modulus)
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"
@@ -161,32 +160,11 @@ class FiniteField:
     def add(self, x: int, y: int) -> int:
         self._check(x)
         self._check(y)
-        if self.m == 1:
-            return (x + y) % self.p
-        if self.p == 2:
-            return x ^ y
-        p = self.p
-        val, shift = 0, 1
-        for _ in range(self.m):
-            x, dx = divmod(x, p)
-            y, dy = divmod(y, p)
-            val += ((dx + dy) % p) * shift
-            shift *= p
-        return val
+        return self._add[x * self.q + y]
 
     def neg(self, x: int) -> int:
         self._check(x)
-        if self.m == 1:
-            return (-x) % self.p
-        if self.p == 2:
-            return x
-        p = self.p
-        val, shift = 0, 1
-        for _ in range(self.m):
-            x, dx = divmod(x, p)
-            val += ((-dx) % p) * shift
-            shift *= p
-        return val
+        return self._neg[x]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -194,22 +172,13 @@ class FiniteField:
     def mul(self, x: int, y: int) -> int:
         self._check(x)
         self._check(y)
-        if self.m == 1:
-            return (x * y) % self.p
-        if x == 0 or y == 0:
-            return 0
-        e = self._log[x] + self._log[y]
-        if e >= self.q - 1:
-            e -= self.q - 1
-        return self._exp[e]
+        return self._mul[x * self.q + y]
 
     def inv(self, x: int) -> int:
         self._check(x)
         if x == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        if self.m == 1:
-            return pow(x, self.p - 2, self.p)
-        return self._exp[(self.q - 1 - self._log[x]) % (self.q - 1)]
+        return self._exp[-self._log[x] % (self.q - 1)]
 
     def pow(self, x: int, e: int) -> int:
         self._check(x)
@@ -217,9 +186,7 @@ class FiniteField:
             return self.pow(self.inv(x), -e)
         if x == 0:
             return 1 if e == 0 else 0
-        if self.m == 1:
-            return pow(x, e, self.p)
-        return self._exp[(self._log[x] * e) % (self.q - 1)]
+        return self._exp[self._log[x] * e % (self.q - 1)]
 
     # -- multiplicative structure -------------------------------------------
 
@@ -250,29 +217,39 @@ class FiniteField:
 
     # -- internals -----------------------------------------------------------
 
-    def _mul_raw(self, x: int, y: int) -> int:
-        # table-free polynomial multiplication, used only while bootstrapping
-        xd, yd = self.digits(x), self.digits(y)
-        prod = [0] * (2 * self.m - 1)
-        for i, xi in enumerate(xd):
-            if xi:
-                for j, yj in enumerate(yd):
-                    prod[i + j] = (prod[i + j] + xi * yj) % self.p
-        return self.from_digits(_poly_rem(prod, self.modulus, self.p))
+    def _build_tables(self, modulus: tuple[int, ...]) -> None:
+        q, p = self.q, self.p
+        # digitwise addition: the low digit plus the already tabulated sum
+        # of the higher digits, filled in increasing index order
+        add = [0] * (q * q)
+        for x in range(q):
+            for y in range(q):
+                add[x * q + y] = (x + y) % p + p * add[x // p * q + y // p]
+        self._add = add
+        self._neg = [add[x * q:(x + 1) * q].index(0) for x in range(q)]
 
-    def _build_tables(self) -> None:
-        order_needed = self.q - 1
-        for g in range(2, self.q):
+        def mul_raw(x: int, y: int) -> int:
+            # table-free polynomial multiplication, used only while bootstrapping
+            xd, yd = self.digits(x), self.digits(y)
+            prod = [0] * (2 * self.m - 1)
+            for i, xi in enumerate(xd):
+                for j, yj in enumerate(yd):
+                    prod[i + j] += xi * yj
+            return self.from_digits(_poly_rem(prod, modulus, p))
+
+        for g in range(1, q):
             exp = [1]
             x = g
             while x != 1:
                 exp.append(x)
-                x = self._mul_raw(x, g)
-            if len(exp) == order_needed:
-                self._exp = exp
-                log = [0] * self.q
-                for i, val in enumerate(exp):
-                    log[val] = i
-                self._log = log
-                return
-        raise AssertionError(f"no primitive element found in GF({self.q})")
+                x = mul_raw(x, g)
+            if len(exp) == q - 1:
+                break
+        else:
+            raise AssertionError(f"no primitive element found in GF({q})")
+        log = [0] * q
+        for i, val in enumerate(exp):
+            log[val] = i
+        self._exp, self._log = exp, log
+        self._mul = [exp[(log[x] + log[y]) % (q - 1)] if x and y else 0
+                     for x in range(q) for y in range(q)]

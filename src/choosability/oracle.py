@@ -147,16 +147,6 @@ def _generate(n, k, c, prev_adj):
     yield from extend(0, 0)
 
 
-def enumerate_canonical_assignments(n: int, k: int, c: int, visitor, *,
-                                    edges=None, cap: int = DEFAULT_SEARCH_CAP) -> int:
-    """Call `visitor` on each canonical assignment; returns the visit count."""
-    count = 0
-    for assignment in iter_canonical_assignments(n, k, c, edges=edges, cap=cap):
-        visitor(assignment)
-        count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class ChiSearchResult:
     """Outcome of an exact list-size search.

@@ -173,6 +173,13 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
     return ColorabilityResult(violator=(violator_s, neighbors))
 
 
+def overlap_rows(masks):
+    """Yield (u, row) for each bitmask u, where row[j] counts the bits that
+    masks u and u + 1 + j share: every pair once, in index order."""
+    for u, mask in enumerate(masks):
+        yield u, [(mask & other).bit_count() for other in masks[u + 1:]]
+
+
 def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityReport:
     """Check that every list has size k and every pair overlaps in <= c colors.
 
@@ -182,12 +189,10 @@ def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityR
     for v, lst in enumerate(assignment.lists):
         if len(lst) != k:
             return ValidityReport(valid=False, bad_vertex=v)
-    masks = [_mask(lst) for lst in assignment.lists]
-    for u in range(assignment.n):
-        for v in range(u + 1, assignment.n):
-            overlap = (masks[u] & masks[v]).bit_count()
-            if overlap > c:
-                return ValidityReport(valid=False, bad_pair=(u, v), overlap=overlap)
+    for u, row in overlap_rows([_mask(lst) for lst in assignment.lists]):
+        if max(row, default=0) > c:
+            j, overlap = next((j, size) for j, size in enumerate(row) if size > c)
+            return ValidityReport(valid=False, bad_pair=(u, u + 1 + j), overlap=overlap)
     return ValidityReport(valid=True)
 
 
@@ -199,6 +204,30 @@ def verify_coloring(assignment: ListAssignment, coloring) -> bool:
     if len(set(colors)) != len(colors):
         return False
     return all(color in assignment.lists[v] for v, color in enumerate(colors))
+
+
+def check_certificate(assignment: ListAssignment,
+                      certificate: ColorabilityResult) -> tuple[bool, str]:
+    """Check a coloring or Hall-violator certificate against the instance,
+    recounting the violator's neighborhood; returns (ok, reason)."""
+    if certificate.colorable:
+        if verify_coloring(assignment, certificate.coloring):
+            return True, "coloring is proper and drawn from the lists"
+        return False, "coloring is not a proper coloring of the instance"
+    violator_s, claimed_neighborhood = certificate.violator
+    if not violator_s:
+        return False, "violator set is empty"
+    if len(set(violator_s)) != len(violator_s) or not all(
+            0 <= v < assignment.n for v in violator_s):
+        return False, "violator set references vertices outside the instance"
+    actual: set[int] = set()
+    for v in violator_s:
+        actual.update(assignment.lists[v])
+    if tuple(sorted(actual)) != tuple(sorted(claimed_neighborhood)):
+        return False, "claimed neighborhood differs from the recounted one"
+    if len(actual) >= len(violator_s):
+        return False, "claimed violator does not violate Hall's condition"
+    return True, "violator recount confirms |N(S)| < |S|"
 
 
 def _mask(colors) -> int:

@@ -37,7 +37,15 @@ def test_is_prime_rejects_strong_pseudoprimes():
     # composite numbers that fool small Miller-Rabin base sets
     assert not is_prime(3215031751)            # = 151 * 751 * 28351
     assert not is_prime(3825123056546413051)   # pseudoprime to bases 2..23
+    assert not is_prime(318665857834031151167461)  # psi_12, pseudoprime to bases 2..37
     assert is_prime(2 ** 61 - 1)
+
+
+def test_is_prime_refuses_beyond_exact_range():
+    psi_13 = 3317044064679887385961981  # pseudoprime to bases 2..41
+    assert not is_prime(psi_13 - 1)  # even, and still inside the exact range
+    with pytest.raises(ValueError):
+        is_prime(psi_13)
 
 
 def test_prime_powers_up_to():

@@ -80,6 +80,13 @@ def test_solve_truncated_json_exits_2(tmp_path, capsys):
     assert code == 2 and "not valid JSON" in err
 
 
+def test_solve_deeply_nested_json_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 2 and out == "" and "too deep" in err
+
+
 def test_solve_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(tmp_path / "nope.json"))
     assert code == 2 and err != ""
@@ -118,6 +125,11 @@ def test_bounds_blank_exact_column(capsys):
 def test_bounds_invalid_range_exits_2(capsys, bad_range):
     code, _, err = run(capsys, "bounds", "--range", bad_range, "--c", "1")
     assert code == 2 and err != ""
+
+
+def test_bounds_huge_n_exits_2(capsys):
+    code, out, err = run(capsys, "bounds", "--n", str(10 ** 400), "--c", "1")
+    assert code == 2 and out == "" and err != ""
 
 
 # -- exact and probe ------------------------------------------------------------------

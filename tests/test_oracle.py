@@ -13,7 +13,6 @@ from choosability.oracle import (
     canonical_form,
     complete_graph,
     conjecture_probe,
-    enumerate_canonical_assignments,
     exact_chi_l_complete,
     exact_chi_l_graph,
     chi_l_complete_search,
@@ -29,12 +28,6 @@ def test_enumerate_two_vertices_singletons():
     assert list(iter_canonical_assignments(2, 1, 1)) == [
         ((0,), (0,)), ((0,), (1,))]
     assert list(iter_canonical_assignments(2, 1, 0)) == [((0,), (1,))]
-
-
-def test_visitor_counts():
-    seen = []
-    count = enumerate_canonical_assignments(2, 1, 1, seen.append)
-    assert count == 2 and len(seen) == 2
 
 
 def _reference_count(n, k, c):

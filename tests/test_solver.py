@@ -8,8 +8,10 @@ import pytest
 from choosability.construction import hard_instance
 from choosability.instances import assignment_from_lists
 from choosability.solver import (
+    ColorabilityResult,
     ColorOutOfRange,
     build_adjacency,
+    check_certificate,
     colorable,
     max_matching,
     validate_assignment,
@@ -164,6 +166,12 @@ def test_validate_assignment_overlap():
     assert report.overlap == 2
 
 
+def test_validate_assignment_reports_first_pair_in_index_order():
+    lists = [(0, 1), (2, 3), (4, 5), (2, 3), (0, 1)]
+    report = validate_assignment(assignment_from_lists(lists, c=1), 2, 1)
+    assert report.bad_pair == (0, 4) and report.overlap == 2
+
+
 def test_validate_assignment_wrong_size():
     report = validate_assignment(assignment_from_lists([(0, 1, 2)], c=1), 2, 1)
     assert not report.valid
@@ -176,3 +184,17 @@ def test_verify_coloring_rejects_bad_colorings():
     assert not verify_coloring(inst, (2, 0, 1))  # 2 not in lists[0]
     assert not verify_coloring(inst, (0, 2))     # wrong length
     assert verify_coloring(inst, (0, 2, 1))
+
+
+@pytest.mark.parametrize("certificate, reason", [
+    (ColorabilityResult(violator=((), ())), "violator set is empty"),
+    (ColorabilityResult(violator=((0, 3), (0,))), "outside the instance"),
+    (ColorabilityResult(violator=((0, 0), (0,))), "outside the instance"),
+    (ColorabilityResult(violator=((0, 1), (0, 1))), "differs from the recounted"),
+    (ColorabilityResult(violator=((0, 2), (0, 1))), "does not violate Hall"),
+    (ColorabilityResult(coloring=(0, 0, 1)), "not a proper coloring"),
+])
+def test_check_certificate_rejections(certificate, reason):
+    inst = assignment_from_lists([(0,), (0,), (1,)], c=1)
+    ok, note = check_certificate(inst, certificate)
+    assert not ok and reason in note
