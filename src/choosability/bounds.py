@@ -8,9 +8,12 @@ asymptotic variant driven by a prime search), the Hall-threshold upper
 bound, and the windows of n on which lower and upper bound meet so the
 value is known exactly.
 
-Every threshold comparison runs on exact rationals: several window
-endpoints (for example n = 15 at c = 1) are tight, and floating point
-could misclassify them.
+Every threshold comparison runs on exact integers or rationals: several
+window endpoints (for example n = 15 at c = 1) are tight, and floating
+point could misclassify them. Each bound takes O(polylog n) time: the Hall
+threshold is closed-form and the lower bounds step down over q = 1 (mod c)
+with `gf.is_prime`, so past its exact range (q >= psi_13, about 3.3e24,
+so n beyond about 1e48/c) they raise ValueError instead of guessing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import NotPrimePower, factor_prime_power
+from .gf import NotPrimePower, factor_prime_power, iroot, is_prime
 
 
 class DegenerateDenominator(ValueError):
@@ -31,14 +34,16 @@ class AdmissibilityViolated(ValueError):
 
 
 def is_admissible(q: int, c: int) -> bool:
-    """True iff q is a prime power with c dividing q-1 and c < q-1."""
-    if c < 1:
+    """True iff q is a prime power with c dividing q-1 and c < q-1.
+
+    Raises ValueError for some q >= psi_13, where is_prime cannot decide."""
+    if c < 1 or (q - 1) % c or c >= q - 1:
         return False
     try:
         factor_prime_power(q)
     except NotPrimePower:
         return False
-    return (q - 1) % c == 0 and c < q - 1
+    return True
 
 
 def check_admissible(q: int, c: int) -> None:
@@ -48,96 +53,35 @@ def check_admissible(q: int, c: int) -> None:
         )
 
 
-# -- primality and prime powers ---------------------------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# psi_13: the least strong pseudoprime to the first 13 prime bases
-# (Sorenson and Webster 2015), so these bases are exact below it
-_MR_EXACT_BELOW = 3317044064679887385961981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n below psi_13 = 3317044064679887385961981.
-
-    Raises ValueError for larger n rather than guess.
-    """
-    if n >= _MR_EXACT_BELOW:
-        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def primes_up_to(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start:limit + 1:p] = bytearray(len(range(start, limit + 1, p)))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-def prime_powers_up_to(limit: int) -> list[int]:
-    """All q = p^m <= limit with p prime and m >= 1, ascending."""
-    out = []
-    for p in primes_up_to(limit):
-        q = p
-        while q <= limit:
-            out.append(q)
-            q *= p
-    out.sort()
-    return out
-
+# -- admissible prime powers and integer roots --------------------------------
 
 def admissible_prime_powers(c: int, q_max: int) -> list[int]:
     """All prime powers q <= q_max with c | q-1 and c < q-1, ascending."""
     if c < 1:
         raise ValueError(f"separation cap must be positive, got c={c}")
-    return [q for q in prime_powers_up_to(q_max)
-            if (q - 1) % c == 0 and c < q - 1]
+    return [q for q in range(c + 1, q_max + 1, c) if is_admissible(q, c)]
 
 
-# -- integer roots -----------------------------------------------------------
+def _largest_one_mod_c(hi: int, lo: int, c: int, accept) -> int | None:
+    """Largest q in [lo, hi] with q = 1 (mod c) and accept(q), else None."""
+    for q in range(hi - (hi - 1) % c, lo - 1, -c):
+        if accept(q):
+            return q
+    return None
+
 
 def icbrt_ceil(n: int) -> int:
     """Smallest t >= 0 with t**3 >= n."""
     if n <= 0:
         return 0
-    t = round(n ** (1 / 3))
-    while t ** 3 < n:
-        t += 1
-    while t > 0 and (t - 1) ** 3 >= n:
-        t -= 1
-    return t
+    t = iroot(n, 3)
+    return t if t ** 3 == n else t + 1
 
 
 def _ceil_sqrt_half(x: int) -> int:
     """Smallest t >= 0 with 2 * t**2 >= x, i.e. ceil(sqrt(x / 2)) exactly."""
-    if x <= 0:
-        return 0
-    t = math.isqrt(x // 2)
-    while 2 * t * t < x:
-        t += 1
-    return t
+    # 2*t^2 >= x iff t^2 >= ceil(x/2), and isqrt(m-1)+1 is the least t with t^2 >= m
+    return math.isqrt((x - 1) // 2) + 1 if x > 0 else 0
 
 
 # -- bound formulas -----------------------------------------------------------
@@ -180,10 +124,12 @@ def johnson_threshold(q: int, c: int) -> Fraction:
 
 def _hall_q(n: int, c: int) -> int:
     """Smallest positive integer q with n <= vertex_count_bound(q, c)."""
-    # integer form of n <= (q^2*(c+1) + (c+3)q - 2(c-1)) / (c*(c+1))
-    target = n * c * (c + 1)
-    q = 1
-    while q * q * (c + 1) + (c + 3) * q - 2 * (c - 1) < target:
+    # n <= (q^2*(c+1) + (c+3)q - 2(c-1)) / (c*(c+1)) as a*q^2 + b*q >= target;
+    # the floored positive root of that increasing quadratic is at most the
+    # answer and, with isqrt's rounding, short of it by at most one
+    a, b, target = c + 1, c + 3, n * c * (c + 1) + 2 * (c - 1)
+    q = max(1, (math.isqrt(b * b + 4 * a * target) - b) // (2 * a))
+    while a * q * q + b * q < target:
         q += 1
     return q
 
@@ -205,14 +151,17 @@ def lower_bound_constructive(n: int, c: int) -> tuple[int, str]:
     Takes q+1 for the largest admissible prime power q whose hard instance
     fits inside K_n (needs (q^2-1)/c + 2 <= n), and falls back to the
     general bound ceil(sqrt(c*n/2)) when that is larger or no q fits.
-    Provenance is "constructive" or "ktv" accordingly.
+    Provenance is "constructive" or "ktv" accordingly. q is found by
+    stepping down from isqrt(c*(n-2)+1), so this raises ValueError where
+    is_admissible does.
     """
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
     best = 0
     if n >= 2:
         q_cap = math.isqrt(c * (n - 2) + 1)
-        for q in admissible_prime_powers(c, q_cap):
+        q = _largest_one_mod_c(q_cap, c + 2, c, lambda x: is_admissible(x, c))
+        if q is not None:
             best = q + 1
     fallback = max(1, _ceil_sqrt_half(c * n))
     if best >= fallback:
@@ -241,11 +190,7 @@ def find_admissible_prime(n: int, c: int) -> int | None:
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     hi = math.isqrt(c * (n - 2) + 1) + 1
-    lo = max(2, hi - icbrt_ceil(n))
-    for q in range(hi, lo - 1, -1):
-        if (q - 1) % c == 0 and is_prime(q):
-            return q
-    return None
+    return _largest_one_mod_c(hi, max(2, hi - icbrt_ceil(n)), c, is_prime)
 
 
 @dataclass(frozen=True)
@@ -303,13 +248,9 @@ def bounds_report(n: int, c: int) -> BoundsReport:
         asymptotic = lower_bound_asymptotic(n, c)
         if asymptotic > lower:
             lower, tag = asymptotic, "asymptotic"
-    if lower > n:
-        lower = n
-    hall_q = _hall_q(n, c)
-    if n < hall_q + 1:
-        upper, upper_tag = n, "trivial-n"
-    else:
-        upper, upper_tag = hall_q + 1, "hall-threshold"
+    lower = min(lower, n)
+    hall = _hall_q(n, c) + 1
+    upper, upper_tag = (n, "trivial-n") if n < hall else (hall, "hall-threshold")
     exact = lower if lower == upper else None
     return BoundsReport(n=n, c=c, lower=lower, lower_provenance=tag,
                         upper=upper, upper_provenance=upper_tag, exact=exact)

@@ -14,14 +14,13 @@ import sys
 
 from . import bounds as bounds_mod
 from . import construction, formats, oracle, solver
-from .bounds import AdmissibilityViolated
-from .formats import FormatError
-from .gf import NotPrimePower, OrderUnavailable
-from .oracle import SearchTooLarge
 
 EXIT_OK = 0
 EXIT_NOT_COLORABLE = 1
 EXIT_ERROR = 2
+
+# `bounds --range` holds every row in memory before it prints
+MAX_RANGE_ROWS = 100_000
 
 
 def _search_cap() -> int:
@@ -82,6 +81,11 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"range endpoints must be integers, got {text!r}")
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid range {text!r}: need 1 <= lo <= hi")
+    if hi - lo + 1 > MAX_RANGE_ROWS:
+        raise ValueError(
+            f"range {text!r} spans {hi - lo + 1} rows, above the cap of "
+            f"{MAX_RANGE_ROWS}; split it into ranges of at most {MAX_RANGE_ROWS} rows"
+        )
     return lo, hi
 
 
@@ -101,12 +105,7 @@ def _bounds_row(n: int, c: int) -> dict:
 
 
 def cmd_bounds(args) -> int:
-    if args.range is not None:
-        lo, hi = _parse_range(args.range)
-    else:
-        if args.n < 1:
-            raise ValueError(f"need n >= 1, got {args.n}")
-        lo = hi = args.n
+    lo, hi = _parse_range(args.range) if args.range is not None else (args.n, args.n)
     rows = [_bounds_row(n, args.c) for n in range(lo, hi + 1)]
     if args.json:
         sys.stdout.write(json.dumps(rows, separators=(",", ":")) + "\n")
@@ -298,8 +297,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (FormatError, AdmissibilityViolated, SearchTooLarge, OrderUnavailable,
-            NotPrimePower, ValueError, OverflowError, OSError) as exc:
+    # every refusal in the package (bad input, inadmissible (q, c), a search
+    # or instance over its cap, is_prime's range) is a ValueError subclass
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

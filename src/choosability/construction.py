@@ -24,8 +24,17 @@ from .instances import ListAssignment
 from .solver import overlap_rows
 
 
+# largest instance built, in list entries n*q: (q, c) = (128, 1) has 2,097,280;
+# n > q for admissible pairs, so this also caps the q^2-entry field tables
+MAX_LIST_ENTRIES = 2 ** 22
+
+
 class ZeroPair(ValueError):
     """(0, 0) has no equivalence class."""
+
+
+class InstanceTooLarge(ValueError):
+    """The instance for (q, c) would hold more than MAX_LIST_ENTRIES list entries."""
 
 
 @dataclass(frozen=True, order=True)
@@ -126,6 +135,12 @@ class ClassSpace:
 
 @lru_cache(maxsize=None)
 def _space(q: int, c: int) -> ClassSpace:
+    entries = ((q * q - 1) // c + 2) * q
+    if entries > MAX_LIST_ENTRIES:
+        raise InstanceTooLarge(
+            f"the (q={q}, c={c}) instance would hold n*q = {entries} list entries, "
+            f"above the limit of {MAX_LIST_ENTRIES} (2**22)"
+        )
     return ClassSpace(FiniteField(q), c)
 
 

@@ -27,23 +27,77 @@ class OrderUnavailable(ValueError):
     """No element of the requested multiplicative order exists."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the least strong pseudoprime to the first 13 prime bases
+# (Sorenson and Webster 2015), so these bases are exact below it
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n below psi_13 = 3317044064679887385961981.
+
+    The package's only primality test; raises ValueError for larger n rather than guess.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 0, by integer Newton iteration."""
+    if n < 0 or k < 1:
+        raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # >= the root; Newton steps fall to the floor
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, m) with q = p**m and p prime, or raise NotPrimePower."""
+    """Return (p, m) with q = p**m and p prime, or raise NotPrimePower.
+
+    Past the Miller-Rabin base primes every prime factor exceeds 41, so
+    m <= bit_length/5 and p is the exact m-th root that is_prime accepts.
+    Raises ValueError from is_prime when that leaves q itself, q >= psi_13.
+    """
     if q < 2:
         raise NotPrimePower(f"field order must be at least 2, got {q}")
-    p = q
-    for d in range(2, math.isqrt(q) + 1):
-        if q % d == 0:
-            p = d
-            break
-    m = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        m += 1
-    if rest != 1:
-        raise NotPrimePower(f"{q} is divisible by two distinct primes")
-    return p, m
+    for p in _MR_BASES:
+        if q % p == 0:
+            m, rest = 0, q
+            while rest % p == 0:
+                rest //= p
+                m += 1
+            if rest != 1:
+                raise NotPrimePower(f"{q} is divisible by two distinct primes")
+            return p, m
+    for m in range(q.bit_length() // 5, 0, -1):
+        p = iroot(q, m)
+        if p ** m == q and is_prime(p):
+            return p, m
+    raise NotPrimePower(f"{q} is not a power of a prime")
 
 
 def _poly_rem(f: list[int], g: tuple[int, ...], p: int) -> list[int]:
@@ -87,16 +141,6 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
         if is_irreducible(poly, p):
             return poly
     raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
 
 
 class FiniteField:
@@ -195,10 +239,8 @@ class FiniteField:
         self._check(x)
         if x == 0:
             raise ZeroHasNoOrder("0 is not in the multiplicative group")
-        for d in _divisors(self.q - 1):
-            if self.pow(x, d) == 1:
-                return d
-        raise AssertionError("unreachable: order divides q - 1")
+        # x = g**log(x) for the primitive g, whose order is q - 1
+        return (self.q - 1) // math.gcd(self._log[x], self.q - 1)
 
     def element_of_order(self, c: int) -> int:
         """Smallest-index element of multiplicative order exactly c.

@@ -1,5 +1,6 @@
 """Bound formulas, thresholds, windows, and the consolidated report."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from choosability.bounds import (
     AdmissibilityViolated,
     DegenerateDenominator,
+    _hall_q,
     admissible_prime_powers,
     bounds_report,
     exact_window,
@@ -19,7 +21,6 @@ from choosability.bounds import (
     ktv_reference_bounds,
     lower_bound_asymptotic,
     lower_bound_constructive,
-    prime_powers_up_to,
     upper_bound,
     vertex_count_bound,
 )
@@ -48,10 +49,6 @@ def test_is_prime_refuses_beyond_exact_range():
         is_prime(psi_13)
 
 
-def test_prime_powers_up_to():
-    assert prime_powers_up_to(16) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
-
-
 def test_admissible_prime_powers_examples():
     assert admissible_prime_powers(2, 10) == [5, 7, 9]
     assert admissible_prime_powers(1, 5) == [3, 4, 5]
@@ -71,6 +68,8 @@ def test_icbrt_ceil():
         assert t ** 3 >= n
         assert t == 0 or (t - 1) ** 3 < n
     assert icbrt_ceil(10 ** 18) == 10 ** 6
+    t = icbrt_ceil(10 ** 400)  # beyond float range
+    assert t ** 3 >= 10 ** 400 > (t - 1) ** 3
 
 
 # -- formulas -----------------------------------------------------------------
@@ -156,6 +155,38 @@ def test_lower_bound_asymptotic_examples():
     assert lower_bound_asymptotic(2, 1) == 1
 
 
+def test_hall_q_is_least_q_meeting_threshold():
+    for c in range(1, 9):
+        for n in [*range(1, 5001), 10 ** 40]:
+            q = _hall_q(n, c)
+            assert q >= 1 and n <= vertex_count_bound(q, c), (n, c, q)
+            assert q == 1 or n > vertex_count_bound(q - 1, c), (n, c, q)
+
+
+def _is_prime_power_by_trial_division(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # smallest factor, a prime
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def test_lower_bound_constructive_matches_largest_admissible_prime_power():
+    for c in range(1, 9):
+        q_caps = {n: math.isqrt(c * (n - 2) + 1) for n in range(2, 3001)}
+        admissible = admissible_prime_powers(c, max(q_caps.values()))
+        assert admissible == [q for q in range(2, max(q_caps.values()) + 1)
+                              if _is_prime_power_by_trial_division(q)
+                              and (q - 1) % c == 0 and c < q - 1], c
+        for n, q_cap in q_caps.items():
+            best = max((q + 1 for q in admissible if q <= q_cap), default=0)
+            value, tag = lower_bound_constructive(n, c)
+            if tag == "constructive":
+                assert value == best, (n, c)
+            else:  # the least t >= 1 with 2*t^2 >= c*n, when it beats q+1
+                assert tag == "ktv" and value > best, (n, c)
+                assert 2 * value ** 2 >= c * n and (value == 1 or 2 * (value - 1) ** 2 < c * n)
+
+
 def test_find_admissible_prime():
     found = find_admissible_prime(10 ** 6, 2)
     assert found == 1409
@@ -176,7 +207,7 @@ def test_exact_window_examples():
 
 
 def test_windows_nonempty_up_to_256():
-    for q in prime_powers_up_to(256):
+    for q in admissible_prime_powers(1, 256):
         for c in range(1, q - 1):
             if (q - 1) % c == 0:
                 window = exact_window(q, c)
@@ -184,7 +215,7 @@ def test_windows_nonempty_up_to_256():
 
 
 def test_window_values_consistent_up_to_31():
-    for q in prime_powers_up_to(31):
+    for q in admissible_prime_powers(1, 31):
         for c in range(1, q - 1):
             if (q - 1) % c != 0:
                 continue
@@ -197,7 +228,7 @@ def test_window_values_consistent_up_to_31():
 def test_windows_never_conflict():
     for c in range(1, 7):
         assigned: dict[int, int] = {}
-        for q in prime_powers_up_to(31):
+        for q in admissible_prime_powers(1, 31):
             if not is_admissible(q, c):
                 continue
             window = exact_window(q, c)

@@ -34,6 +34,13 @@ def test_construct_stdout_and_text_format(capsys):
     assert out.splitlines()[0] == "10 1 3 9"
 
 
+def test_construct_oversized_exits_2(capsys):
+    # n*q = 4093 * (4093^2 + 1) list entries, far above the 2**22 cap
+    code, out, err = run(capsys, "construct", "--q", "4093", "--c", "1")
+    assert code == 2 and out == ""
+    assert "4194304" in err
+
+
 def test_construct_inadmissible_exits_2(capsys):
     code, out, err = run(capsys, "construct", "--q", "4", "--c", "3")
     assert code == 2 and out == ""
@@ -121,15 +128,25 @@ def test_bounds_blank_exact_column(capsys):
     assert fields[2] == "4" and fields[4] == "6" and fields[6] == "-"
 
 
-@pytest.mark.parametrize("bad_range", ["15..10", "abc", "1..", "0..5"])
+@pytest.mark.parametrize("bad_range", ["15..10", "abc", "1..", "0..5", "1..100001"])
 def test_bounds_invalid_range_exits_2(capsys, bad_range):
-    code, _, err = run(capsys, "bounds", "--range", bad_range, "--c", "1")
-    assert code == 2 and err != ""
+    code, out, err = run(capsys, "bounds", "--range", bad_range, "--c", "1")
+    assert code == 2 and out == "" and err != ""
 
 
 def test_bounds_huge_n_exits_2(capsys):
     code, out, err = run(capsys, "bounds", "--n", str(10 ** 400), "--c", "1")
     assert code == 2 and out == "" and err != ""
+
+
+def test_bounds_large_n_within_primality_range(capsys):
+    code, out, _ = run(capsys, "bounds", "--n", str(10 ** 40), "--c", "3", "--json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert 1 <= row["lower"] <= row["upper"] <= 10 ** 40
+    # the lower-bound search would start past psi_13, where is_prime refuses
+    code, out, err = run(capsys, "bounds", "--n", str(10 ** 60), "--c", "3", "--json")
+    assert code == 2 and out == "" and "is_prime" in err
 
 
 # -- exact and probe ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Finite-field arithmetic, modulus selection, and multiplicative structure."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,9 +12,10 @@ from choosability.gf import (
     OrderUnavailable,
     ZeroHasNoOrder,
     factor_prime_power,
+    iroot,
     smallest_irreducible,
 )
-from conftest import totient
+from conftest import totient, trial_division_is_prime
 
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -37,9 +39,40 @@ def test_factor_prime_power():
     assert factor_prime_power(9) == (3, 2)
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(243) == (3, 5)
+    assert factor_prime_power(43 ** 13) == (43, 13)
+    assert factor_prime_power((2 ** 61 - 1) ** 2) == (2 ** 61 - 1, 2)
+    assert factor_prime_power(3 ** 80) == (3, 80)
 
 
-@pytest.mark.parametrize("bad", [0, 1, 6, 12, 100])
+def test_factor_prime_power_matches_trial_division():
+    for q in range(2, 20000):
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        m, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            m += 1
+        if rest == 1:
+            assert trial_division_is_prime(p) and factor_prime_power(q) == (p, m), q
+        else:
+            with pytest.raises(NotPrimePower):
+                factor_prime_power(q)
+
+
+def test_iroot_is_floor_of_root():
+    rng = random.Random(7)
+    cases = [(n, k) for n in range(0, 3000) for k in range(1, 7)]
+    cases += [(rng.getrandbits(rng.randrange(1, 400)), rng.randrange(1, 30)) for _ in range(3000)]
+    cases += [(10 ** 400, 3), ((2 ** 61 - 1) ** 2, 2), (43 ** 13 - 1, 13)]
+    for n, k in cases:
+        r = iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k, (n, k)
+    with pytest.raises(ValueError):
+        iroot(-1, 2)
+
+
+# psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to bases 2..37
+@pytest.mark.parametrize("bad", [0, 1, 6, 12, 100, 6 ** 20, 1009 * 1013,
+                                 318665857834031151167461])
 def test_not_prime_power(bad):
     with pytest.raises(NotPrimePower):
         factor_prime_power(bad)

@@ -1,4 +1,4 @@
-"""Byte-level regression guard for `construct`.
+"""Byte-level regression guards for `construct` and `bounds`.
 
 The sha256 digests of `dumps_instance(hard_instance(q, c))` below, which are
 exactly the bytes `choosability construct --q Q --c C` writes, were taken
@@ -7,12 +7,19 @@ table-driven field arithmetic and directly solved incidence lists (commit
 18d943c). They cover every admissible (q, c) with q <= 32 and a few larger
 fields, including prime, characteristic-2 and odd-characteristic
 extensions.
+
+The `bounds` digests are of the `--json` output of
+`choosability bounds --range 1..2000 --c C` for C = 1..5 and of
+`choosability bounds --n N --c C` at two large n, taken from the
+implementation before the bounds moved from a sieve and linear scans to
+closed forms and a descending Miller-Rabin search (commit 6adfa9f).
 """
 
 import hashlib
 
 import pytest
 
+from choosability.cli import main
 from choosability.construction import hard_instance
 from choosability.formats import dumps_instance
 
@@ -86,3 +93,37 @@ GOLDEN_INSTANCE_SHA256 = {
 def test_construct_bytes_match_golden_digest(q, c):
     text = dumps_instance(hard_instance(q, c))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_INSTANCE_SHA256[(q, c)]
+
+
+GOLDEN_BOUNDS_RANGE_SHA256 = {
+    1: "364152c7bf1810361026acde0093dbb70a144700c88c1340072d05e975581c93",
+    2: "b8b2f58593578dc2ec9881adce0b9da2e7ac551a2c93541d077b7e518b7afc5b",
+    3: "af98073e4c160fce4986b0dddc32809da05bcba53765f3d9cf9af14f07d7b76e",
+    4: "9eb52cc83b175d7bf69457960f44fbf39c8cc7cc823c2eb74c4ec5d36c634930",
+    5: "680ddd2e4b19961c23cf6dec818203036395ae81b8fc2b5b0ada1337302e3bd1",
+}
+
+GOLDEN_BOUNDS_N_SHA256 = {
+    (10 ** 12 + 123457, 1): "9fc5ca66c6d8ac2a91f8123281340a2d0eae63de4baa873f769d564d3955f697",
+    (10 ** 12 + 123457, 3): "4b2c44775c1c774746ff24ed8ae9e72debb402f6a674f0de3fcf72cd5d9e3bc1",
+    (10 ** 13 + 123457, 1): "4955855054e2c20518e357095ff100eff911f65132cccb8a3d796ceeb8cd8202",
+    (10 ** 13 + 123457, 3): "36ea2136097c4d3f10ff6e89143bd521d2776a966b825da151123fc3e4656a71",
+}
+
+
+def _stdout_sha256(capsys, argv) -> str:
+    capsys.readouterr()
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("c", sorted(GOLDEN_BOUNDS_RANGE_SHA256))
+def test_bounds_range_bytes_match_golden_digest(capsys, c):
+    argv = ["bounds", "--range", "1..2000", "--c", str(c), "--json"]
+    assert _stdout_sha256(capsys, argv) == GOLDEN_BOUNDS_RANGE_SHA256[c]
+
+
+@pytest.mark.parametrize("n, c", sorted(GOLDEN_BOUNDS_N_SHA256))
+def test_bounds_n_bytes_match_golden_digest(capsys, n, c):
+    argv = ["bounds", "--n", str(n), "--c", str(c), "--json"]
+    assert _stdout_sha256(capsys, argv) == GOLDEN_BOUNDS_N_SHA256[(n, c)]
