@@ -33,6 +33,19 @@ def _search_cap() -> int:
         raise ValueError(f"CHOOSABILITY_SEARCH_CAP must be an integer, got {raw!r}")
 
 
+def _capped_search(search, *args):
+    """Run an oracle search under the cap from CHOOSABILITY_SEARCH_CAP; a
+    refusal for exceeding that cap names the variable that raises it."""
+    cap = _search_cap()
+    try:
+        return search(*args, cap=cap)
+    except oracle.SearchTooLarge as exc:
+        if f"exceeds cap {cap}" not in str(exc):
+            raise
+        raise oracle.SearchTooLarge(
+            f"{exc}; set CHOOSABILITY_SEARCH_CAP to raise the cap") from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -129,7 +142,7 @@ def cmd_bounds(args) -> int:
 # -- exact -----------------------------------------------------------------
 
 def cmd_exact(args) -> int:
-    result = oracle.chi_l_complete_search(args.n, args.c, cap=_search_cap())
+    result = _capped_search(oracle.chi_l_complete_search, args.n, args.c)
     defeated = ([list(lst) for lst in result.defeated_by]
                 if result.defeated_by is not None else None)
     if args.json:
@@ -153,7 +166,7 @@ def cmd_exact(args) -> int:
 # -- probe -----------------------------------------------------------------
 
 def cmd_probe(args) -> int:
-    report = oracle.conjecture_probe(args.nmax, args.c, cap=_search_cap())
+    report = _capped_search(oracle.conjecture_probe, args.nmax, args.c)
     if args.json:
         counterexample = None
         if report.counterexample is not None:

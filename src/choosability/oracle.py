@@ -4,12 +4,14 @@ The adversary space for the list-size question is enumerated in a
 canonical form that kills color-relabeling symmetry exactly: an
 assignment is canonical when it is the lexicographically smallest member
 of its orbit under color permutations, which works out to sorting the
-per-color vertex sets by their characteristic vectors. Canonical
-assignments are in particular in restricted-growth order (reading the
-vertices in order, each list sorted, a color id appears only after every
-smaller id has appeared), and every (k,c)-assignment is equivalent to
-exactly one canonical assignment, so exhausting the canonical space
-decides whether a given k always admits a proper coloring.
+per-color vertex sets by their characteristic vectors. The enumerator is
+orderly: it extends assignments vertex by vertex and drops a partial
+assignment as soon as two adjacent colors' vertex sets are out of that
+order, which no later vertex can repair, so every assignment it completes
+is canonical and no finished assignment is thrown away. Every
+(k,c)-assignment is equivalent to exactly one canonical assignment, so
+exhausting the canonical space decides whether a given k always admits a
+proper coloring.
 
 Searches refuse instead of truncating: a partial search must never report
 an exact value.
@@ -86,14 +88,16 @@ def canonical_form(lists) -> Assignment:
 
 def iter_canonical_assignments(n: int, k: int, c: int, *, edges=None,
                                cap: int = DEFAULT_SEARCH_CAP):
-    """Yield every canonical (k,c)-assignment on n vertices exactly once.
+    """Yield every canonical (k,c)-assignment on n vertices exactly once,
+    in lexicographic order.
 
     `edges` restricts the pairwise intersection cap to adjacent pairs;
     None means the complete graph. Partial assignments violating the
-    intersection cap or restricted growth are pruned; full assignments
-    that are not their orbit's representative are dropped. Raises
+    intersection cap, or whose color columns are already out of canonical
+    order, are pruned, so every assignment completed is yielded. Raises
     SearchTooLarge when n * k exceeds `cap` (the search is refused
-    outright, never truncated).
+    outright, never truncated) and ValueError on a self-loop or an edge
+    endpoint outside 0..n-1.
     """
     if n < 0 or k < 0 or c < 0:
         raise ValueError(f"need n, k, c >= 0, got ({n}, {k}, {c})")
@@ -101,46 +105,46 @@ def iter_canonical_assignments(n: int, k: int, c: int, *, edges=None,
         raise SearchTooLarge(
             f"refusing exhaustive search: n * k = {n * k} exceeds cap {cap}"
         )
+    pairs = (itertools.combinations(range(n), 2) if edges is None
+             else SmallGraph.of(n, edges).edges)
     prev_adj: list[list[int]] = [[] for _ in range(n)]
-    if edges is None:
-        for v in range(n):
-            prev_adj[v] = list(range(v))
-    else:
-        for u, v in edges:
-            u, v = min(u, v), max(u, v)
-            prev_adj[v].append(u)
+    for u, v in pairs:
+        prev_adj[v].append(u)
     return _generate(n, k, c, prev_adj)
 
 
 def _generate(n, k, c, prev_adj):
-    # generate restricted-growth candidates in lexicographic order, then
-    # keep only true orbit representatives; canonical forms are always in
-    # restricted-growth order, so nothing is missed
+    # depth first over the vertices, each list a k-subset of the colors in
+    # use plus k fresh ones, in lexicographic order. cols[x] has bit n-1-v
+    # set when vertex v lists color x; an assignment is canonical exactly
+    # when cols is non-increasing. Later vertices set only lower bits, so
+    # once cols[x-1] < cols[x] the prefix can never become canonical: a list
+    # holding x but not x-1 is pruned when that would happen. The prune also
+    # forces restricted growth (fresh colors are taken in order).
     lists: list[tuple[int, ...]] = []
     masks: list[int] = []
+    cols = [0] * (n * k)
 
-    def extend(v: int, next_fresh: int):
+    def extend(v: int, used: int):
         if v == n:
-            snapshot = tuple(lists)
-            if canonical_form(snapshot) == snapshot:
-                yield snapshot
+            yield tuple(lists)
             return
-        for combo in itertools.combinations(range(next_fresh + k), k):
-            fresh = 0
-            for color in combo:
-                if color >= next_fresh:
-                    fresh += 1
-            # fresh colors must be the next ids in order, nothing skipped
-            if fresh and combo[-fresh:] != tuple(range(next_fresh, next_fresh + fresh)):
+        bit = 1 << (n - 1 - v)
+        for combo in itertools.combinations(range(used + k), k):
+            if any(cols[x - 1] < cols[x] | bit for x in combo if x and x - 1 not in combo):
                 continue
             mask = 0
-            for color in combo:
-                mask |= 1 << color
+            for x in combo:
+                mask |= 1 << x
             if any((mask & masks[u]).bit_count() > c for u in prev_adj[v]):
                 continue
+            for x in combo:
+                cols[x] |= bit
             lists.append(combo)
             masks.append(mask)
-            yield from extend(v + 1, next_fresh + fresh)
+            yield from extend(v + 1, max(used, combo[-1] + 1) if combo else used)
+            for x in combo:
+                cols[x] ^= bit
             lists.pop()
             masks.pop()
 
@@ -196,12 +200,10 @@ def exact_chi_l_complete(n: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> in
     return chi_l_complete_search(n, c, cap=cap).chi_l
 
 
-def list_colorable_graph(graph: SmallGraph, assignment: ListAssignment) -> bool:
-    """Proper list-colorability of an arbitrary tiny graph by backtracking.
-
-    Vertices are tried in decreasing degree order; only adjacent vertices
-    must receive distinct colors. Limited to n <= 8.
-    """
+def _colorer(graph: SmallGraph):
+    """The backtracking list-colorability test for one graph, built once and
+    applied to raw per-vertex lists: vertices are tried in decreasing degree
+    order, each against the neighbors placed before it. Limited to n <= 8."""
     if graph.n > 8:
         raise SearchTooLarge(f"backtracking limited to 8 vertices, got {graph.n}")
     adj: list[set[int]] = [set() for _ in range(graph.n)]
@@ -209,31 +211,40 @@ def list_colorable_graph(graph: SmallGraph, assignment: ListAssignment) -> bool:
         adj[u].add(v)
         adj[v].add(u)
     order = sorted(range(graph.n), key=lambda v: (-len(adj[v]), v))
-    chosen: dict[int, int] = {}
+    steps = [(v, [u for u in order[:i] if u in adj[v]]) for i, v in enumerate(order)]
+    chosen = [-1] * graph.n
 
-    def extend(i: int) -> bool:
-        if i == len(order):
+    def extend(lists, i: int) -> bool:
+        if i == len(steps):
             return True
-        v = order[i]
-        for color in assignment.lists[v]:
-            if all(chosen.get(u) != color for u in adj[v]):
+        v, placed = steps[i]
+        for color in lists[v]:
+            if all(chosen[u] != color for u in placed):
                 chosen[v] = color
-                if extend(i + 1):
+                if extend(lists, i + 1):
                     return True
-                del chosen[v]
         return False
 
-    return extend(0)
+    return lambda lists: extend(lists, 0)
+
+
+def list_colorable_graph(graph: SmallGraph, assignment: ListAssignment) -> bool:
+    """Proper list-colorability of an arbitrary tiny graph by backtracking.
+
+    Vertices are tried in decreasing degree order; only adjacent vertices
+    must receive distinct colors. Limited to n <= 8. Raises ValueError when
+    the assignment does not have one list per vertex.
+    """
+    if len(assignment.lists) != graph.n:
+        raise ValueError(
+            f"assignment has {len(assignment.lists)} lists for {graph.n} vertices")
+    return _colorer(graph)(assignment.lists)
 
 
 def chi_l_graph_search(graph: SmallGraph, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> ChiSearchResult:
     """Exact least k such that every canonical (k,c)-assignment on the
     graph (cap applying to adjacent pairs only) is colorable."""
-
-    def admits(assignment: Assignment) -> bool:
-        return list_colorable_graph(graph, assignment_from_lists(assignment, c))
-
-    return _chi_search(graph.n, c, graph.edges, admits, cap)
+    return _chi_search(graph.n, c, graph.edges, _colorer(graph), cap)
 
 
 def exact_chi_l_graph(graph: SmallGraph, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> int:
@@ -277,10 +288,11 @@ def conjecture_probe(n_max: int, c: int, k_cap: int | None = None, *,
         for bits in range(1 << len(all_pairs)):
             edges = tuple(pair for i, pair in enumerate(all_pairs) if bits >> i & 1)
             graph = SmallGraph(n, edges)
+            colorable = _colorer(graph)
             graphs_checked += 1
             for assignment in iter_canonical_assignments(n, k0, c, edges=edges, cap=cap):
                 assignments_checked += 1
-                if not list_colorable_graph(graph, assignment_from_lists(assignment, c)):
+                if not colorable(assignment):
                     return ProbeReport(n_max=n_max, c=c, complete_values=complete_values,
                                        counterexample=(graph, assignment),
                                        graphs_checked=graphs_checked,

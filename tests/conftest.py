@@ -74,3 +74,42 @@ def brute_force_canonical(lists) -> tuple:
         if best is None or candidate < best:
             best = candidate
     return best if best is not None else tuple(tuple(lst) for lst in lists)
+
+
+def generate_then_filter(n: int, k: int, c: int, edges=None):
+    """Canonical (k,c)-assignments on n vertices in the enumerator's order,
+    by the generate-then-filter method: every restricted-growth candidate
+    passing the intersection cap on adjacent pairs (`edges`, None for the
+    complete graph) is built in full, and kept when `canonical_form` leaves
+    it unchanged. This is the enumerator as it was before it pruned
+    non-canonical prefixes at interior nodes."""
+    from choosability.oracle import canonical_form
+
+    pairs = itertools.combinations(range(n), 2) if edges is None else edges
+    prev_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        prev_adj[max(u, v)].append(min(u, v))
+    lists: list[tuple[int, ...]] = []
+    masks: list[int] = []
+
+    def extend(v: int, next_fresh: int):
+        if v == n:
+            snapshot = tuple(lists)
+            if canonical_form(snapshot) == snapshot:
+                yield snapshot
+            return
+        for combo in itertools.combinations(range(next_fresh + k), k):
+            fresh = sum(1 for color in combo if color >= next_fresh)
+            # fresh colors must be the next ids in order, nothing skipped
+            if fresh and combo[-fresh:] != tuple(range(next_fresh, next_fresh + fresh)):
+                continue
+            mask = sum(1 << color for color in combo)
+            if any((mask & masks[u]).bit_count() > c for u in prev_adj[v]):
+                continue
+            lists.append(combo)
+            masks.append(mask)
+            yield from extend(v + 1, next_fresh + fresh)
+            lists.pop()
+            masks.pop()
+
+    yield from extend(0, 0)

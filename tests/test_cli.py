@@ -163,6 +163,7 @@ def test_exact_json(capsys):
 def test_exact_cap_refusal_and_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "exact", "--n", "5", "--c", "1")
     assert code == 2 and "cap 14" in err
+    assert "CHOOSABILITY_SEARCH_CAP" in err
     monkeypatch.setenv("CHOOSABILITY_SEARCH_CAP", "15")
     code, out, _ = run(capsys, "exact", "--n", "5", "--c", "1", "--json")
     assert code == 0 and json.loads(out)["chi_l"] == 3
@@ -180,6 +181,8 @@ def test_probe_text_and_json(capsys):
 def test_probe_over_cap_exits_2(capsys):
     code, _, err = run(capsys, "probe", "--nmax", "6", "--c", "1")
     assert code == 2 and "n_max" in err
+    # raising the search cap would not help here, so the variable is not named
+    assert "CHOOSABILITY_SEARCH_CAP" not in err
 
 
 # -- verify ------------------------------------------------------------------------------

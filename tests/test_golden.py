@@ -13,6 +13,14 @@ The `bounds` digests are of the `--json` output of
 `choosability bounds --n N --c C` at two large n, taken from the
 implementation before the bounds moved from a sieve and linear scans to
 closed forms and a descending Miller-Rabin search (commit 6adfa9f).
+
+The `exact` and `probe` digests are of the `--json` output of
+`choosability exact --n N --c C` and `choosability probe --nmax 4 --c C`
+with CHOOSABILITY_SEARCH_CAP=15, taken from the implementation before the
+canonical enumerator moved from filtering finished assignments through
+`canonical_form` to pruning non-canonical prefixes (commit 629ece2). They
+pin the witnesses and the `assignments_checked` counts, so they also pin
+the order in which the search visits assignments.
 """
 
 import hashlib
@@ -127,3 +135,32 @@ def test_bounds_range_bytes_match_golden_digest(capsys, c):
 def test_bounds_n_bytes_match_golden_digest(capsys, n, c):
     argv = ["bounds", "--n", str(n), "--c", str(c), "--json"]
     assert _stdout_sha256(capsys, argv) == GOLDEN_BOUNDS_N_SHA256[(n, c)]
+
+
+GOLDEN_EXACT_SHA256 = {
+    (3, 0): "c563706e1701ebc7e97a1d13444445ec8b0368055331746968b35c8257883922",
+    (3, 1): "047f120e0db68701b0f277ee140839f709bc14b7fcf62bfb5a559186f9ee0c08",
+    (4, 1): "7d6d14f6ddb9f82a82fe5d5c607e60d4b2645218db1a100d49a24bb5f6cbcd9e",
+    (4, 2): "fd097f59b0b22c8f26f8fd4c799206f408a77f1f39f3123d7380fcfedd25d8c8",
+    (5, 1): "75838d41ccaf95da3b4851784b331c33739188f07b68df20be42b6653cd10943",
+    (5, 2): "a54b779f55e33c71ec7870a65d2dfdad53782f0674d35f45eb1314871f6a0556",
+}
+
+GOLDEN_PROBE_SHA256 = {
+    1: "0bb99812b5f05db0cea5d89de1e8c8095b7bfa26d28b1a678b3aadb9ca1b21b6",
+    2: "19d2f53398fb5d2000be65433469f60f44038149c84e94f9db14acb094f2bb0c",
+}
+
+
+@pytest.mark.parametrize("n, c", sorted(GOLDEN_EXACT_SHA256))
+def test_exact_bytes_match_golden_digest(capsys, monkeypatch, n, c):
+    monkeypatch.setenv("CHOOSABILITY_SEARCH_CAP", "15")
+    argv = ["exact", "--n", str(n), "--c", str(c), "--json"]
+    assert _stdout_sha256(capsys, argv) == GOLDEN_EXACT_SHA256[(n, c)]
+
+
+@pytest.mark.parametrize("c", sorted(GOLDEN_PROBE_SHA256))
+def test_probe_bytes_match_golden_digest(capsys, monkeypatch, c):
+    monkeypatch.setenv("CHOOSABILITY_SEARCH_CAP", "15")
+    argv = ["probe", "--nmax", "4", "--c", str(c), "--json"]
+    assert _stdout_sha256(capsys, argv) == GOLDEN_PROBE_SHA256[c]

@@ -19,7 +19,8 @@ from choosability.oracle import (
     iter_canonical_assignments,
     list_colorable_graph,
 )
-from conftest import brute_force_canonical, relabel_by_first_appearance
+from conftest import (brute_force_canonical, generate_then_filter,
+                      relabel_by_first_appearance)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -84,6 +85,46 @@ def test_exactly_one_representative_per_orbit():
         assert brute_force_canonical(candidate) in emitted
 
 
+def _same_sequence(n, k, c, edges):
+    ours = list(iter_canonical_assignments(n, k, c, edges=edges, cap=n * k))
+    assert ours == list(generate_then_filter(n, k, c, edges)), (n, k, c, edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sequence_matches_generate_then_filter_small_graphs(n):
+    """The same assignments in the same order as the generate-then-filter
+    reference, on every labeled graph with n <= 4 vertices (edges=None for
+    the complete graph included) and every k, c with n * k <= 12."""
+    pairs = list(itertools.combinations(range(n), 2))
+    graphs = [None] + [[pair for i, pair in enumerate(pairs) if bits >> i & 1]
+                       for bits in range(1 << len(pairs))]
+    for edges in graphs:
+        for k in range(1, 12 // n + 1):
+            for c in range(k + 1):
+                _same_sequence(n, k, c, edges)
+
+
+def test_sequence_matches_generate_then_filter_five_vertices():
+    k5 = list(itertools.combinations(range(5), 2))
+    # K_5, K_5 minus an edge, C_5, P_5, the star K_{1,4}, K_4 plus a vertex
+    graphs = [None, k5[1:], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+              [(0, 1), (1, 2), (2, 3), (3, 4)], [(0, v) for v in range(1, 5)],
+              list(itertools.combinations(range(4), 2))]
+    for edges in graphs:
+        for k in (1, 2):
+            for c in range(k + 1):
+                _same_sequence(5, k, c, edges)
+        _same_sequence(5, 3, 0, edges)
+    _same_sequence(5, 3, 1, None)
+    _same_sequence(5, 3, 1, k5[1:])
+
+
+def test_enumeration_rejects_bad_edges():
+    for edges in ([(0, 5)], [(1, 1)], [(-1, 0)]):
+        with pytest.raises(ValueError, match="bad edge"):
+            iter_canonical_assignments(3, 1, 1, edges=edges)
+
+
 def test_enumeration_cap_is_a_refusal():
     with pytest.raises(SearchTooLarge):
         iter_canonical_assignments(5, 3, 1)
@@ -134,6 +175,14 @@ def test_list_colorable_graph_basics():
     assert list_colorable_graph(edge, assignment_from_lists([(0,), (1,)], c=1))
     with pytest.raises(SearchTooLarge):
         list_colorable_graph(SmallGraph.of(9, []), assignment_from_lists([(0,)] * 9, c=1))
+
+
+def test_list_colorable_graph_needs_one_list_per_vertex():
+    path3 = SmallGraph.of(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="2 lists for 3 vertices"):
+        list_colorable_graph(path3, assignment_from_lists([(0,), (1,)], c=1))
+    with pytest.raises(ValueError, match="4 lists for 3 vertices"):
+        list_colorable_graph(path3, assignment_from_lists([(0,), (1,), (0,), (0,)], c=1))
 
 
 def test_backtracking_agrees_with_matching_solver_on_k3():
