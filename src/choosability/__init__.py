@@ -53,11 +53,8 @@ from .solver import (
     ColorOutOfRange,
     ColorabilityResult,
     ValidityReport,
-    VertexColorGraph,
-    build_adjacency,
     check_certificate,
     colorable,
-    max_matching,
     validate_assignment,
     verify_coloring,
 )

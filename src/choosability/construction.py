@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .bounds import check_admissible
-from .gf import FiniteField
+from .gf import FiniteField, OrderUnavailable
 from .instances import ListAssignment
 from .solver import overlap_rows
 
@@ -52,16 +52,10 @@ class ProjClass:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Edge list over vertex ids [0, n_vertices), with design metadata.
-
-    `uniformity` and `intersection_cap` record what the construction is
-    supposed to satisfy; verify_design checks whether it actually does.
-    """
+    """Edge list over vertex ids [0, n_vertices)."""
 
     n_vertices: int
     edges: tuple[tuple[int, ...], ...]
-    uniformity: int
-    intersection_cap: int
 
 
 _BY_ID = attrgetter("id")
@@ -135,6 +129,8 @@ class ClassSpace:
 
 @lru_cache(maxsize=None)
 def _space(q: int, c: int) -> ClassSpace:
+    if c < 1:
+        raise OrderUnavailable(f"the cap c must be a positive divisor of q - 1, got c={c}")
     entries = ((q * q - 1) // c + 2) * q
     if entries > MAX_LIST_ENTRIES:
         raise InstanceTooLarge(
@@ -154,8 +150,7 @@ def furedi_hypergraph(q: int, c: int) -> Hypergraph:
         tuple(member.id for member in space.list_of_class(cls))
         for cls in space.classes()
     )
-    return Hypergraph(n_vertices=len(edges), edges=edges,
-                      uniformity=q, intersection_cap=c)
+    return Hypergraph(n_vertices=len(edges), edges=edges)
 
 
 def augmented_hypergraph(q: int, c: int) -> Hypergraph:
@@ -176,8 +171,7 @@ def augmented_hypergraph(q: int, c: int) -> Hypergraph:
         for slope in range(start, start + c):
             members.update(cls.id for cls in space.origin_line(slope))
         bundles.append(tuple(sorted(members)))
-    return Hypergraph(n_vertices=fresh + 1, edges=base.edges + tuple(bundles),
-                      uniformity=q, intersection_cap=c)
+    return Hypergraph(n_vertices=fresh + 1, edges=base.edges + tuple(bundles))
 
 
 def hard_instance(q: int, c: int) -> ListAssignment:

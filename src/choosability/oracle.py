@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import solver
-from .instances import ListAssignment, assignment_from_lists
+from .instances import ListAssignment
 
 
 class SearchTooLarge(ValueError):
@@ -191,7 +191,9 @@ def chi_l_complete_search(n: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> C
     colorable, decided by the matching solver, with search statistics."""
 
     def admits(assignment: Assignment) -> bool:
-        return solver.colorable(assignment_from_lists(assignment, c)).colorable
+        # canonical lists are sorted, duplicate-free and use colors below n*k
+        k = len(assignment[0])
+        return solver.colorable(ListAssignment(n, k, c, n * k, assignment)).colorable
 
     return _chi_search(n, c, None, admits, cap)
 
@@ -263,8 +265,7 @@ class ProbeReport:
     assignments_checked: int
 
 
-def conjecture_probe(n_max: int, c: int, k_cap: int | None = None, *,
-                     cap: int = DEFAULT_SEARCH_CAP) -> ProbeReport:
+def conjecture_probe(n_max: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> ProbeReport:
     """Check, for every labeled graph G on up to n_max vertices, that G is
     colorable from every (k,c)-assignment with k the exact value for K_n.
 
@@ -281,8 +282,6 @@ def conjecture_probe(n_max: int, c: int, k_cap: int | None = None, *,
     assignments_checked = 0
     for n in range(1, n_max + 1):
         k0 = exact_chi_l_complete(n, c, cap=cap)
-        if k_cap is not None and k0 > k_cap:
-            raise SearchTooLarge(f"list size {k0} for K_{n} exceeds k_cap {k_cap}")
         complete_values[n] = k0
         all_pairs = list(itertools.combinations(range(n), 2))
         for bits in range(1 << len(all_pairs)):

@@ -4,8 +4,9 @@ K_n is colorable from lists L exactly when the bipartite vertex-color
 adjacency graph (vertex v adjacent to every color in L(v)) has a matching
 saturating all n vertices, because on a complete graph every vertex needs
 its own color. The decision procedure therefore runs a maximum matching
-and, on failure, extracts a Hall violator: a vertex set S whose combined
-lists contain fewer than |S| colors.
+on the lists themselves and, on failure, reads a Hall violator off the
+matching's last search: a vertex set S whose combined lists contain fewer
+than |S| colors.
 """
 
 from __future__ import annotations
@@ -18,15 +19,6 @@ from .instances import ListAssignment
 
 class ColorOutOfRange(ValueError):
     """A list references a color id outside [0, num_colors)."""
-
-
-@dataclass(frozen=True)
-class VertexColorGraph:
-    """Bipartite incidence of K_n vertices (left) and colors (right)."""
-
-    n_left: int
-    n_right: int
-    adj: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -56,31 +48,24 @@ class ValidityReport:
     overlap: int | None = None
 
 
-def build_adjacency(assignment: ListAssignment) -> VertexColorGraph:
-    """Incidence structure of the vertex-color adjacency graph."""
-    for v, lst in enumerate(assignment.lists):
-        for color in lst:
-            if not 0 <= color < assignment.num_colors:
-                raise ColorOutOfRange(
-                    f"vertex {v} lists color {color}, universe is [0, {assignment.num_colors})"
-                )
-    return VertexColorGraph(assignment.n, assignment.num_colors, assignment.lists)
+def _hopcroft_karp(lists):
+    """Maximum matching of vertices to listed colors in O(E * sqrt(V)); deterministic.
 
-
-def _hopcroft_karp(adj, n_left: int, n_right: int):
-    """Maximum bipartite matching in O(E * sqrt(V)); deterministic.
-
-    Returns (match_left, match_right) with -1 for unmatched. Vertices and
-    colors are always scanned in index order, so the matching (and every
+    Returns (match_l, match_r, dist): match_l[v] is v's color or -1, and
+    match_r maps each matched color to its vertex. The last breadth-first
+    search found no free color, so its dist[v] >= 0 exactly for the
+    vertices that alternating paths reach from unmatched ones. Vertices and
+    colors are scanned in list order, so the matching (and every
     certificate derived from it) is reproducible.
     """
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    dist = [0] * n_left
+    n = len(lists)
+    match_l = [-1] * n
+    match_r: dict[int, int] = {}
+    dist = [0] * n
 
     def bfs() -> bool:
         queue = deque()
-        for v in range(n_left):
+        for v in range(n):
             if match_l[v] == -1:
                 dist[v] = 0
                 queue.append(v)
@@ -89,8 +74,8 @@ def _hopcroft_karp(adj, n_left: int, n_right: int):
         found_free = False
         while queue:
             v = queue.popleft()
-            for color in adj[v]:
-                u = match_r[color]
+            for color in lists[v]:
+                u = match_r.get(color, -1)
                 if u == -1:
                     found_free = True
                 elif dist[u] == -1:
@@ -101,13 +86,13 @@ def _hopcroft_karp(adj, n_left: int, n_right: int):
     def dfs(root: int) -> bool:
         # explicit stack (augmenting paths can be long); frames hold the
         # vertex, its color iterator, and the color currently explored
-        stack = [[root, iter(adj[root]), -1]]
+        stack = [[root, iter(lists[root]), -1]]
         while stack:
             frame = stack[-1]
             v, colors = frame[0], frame[1]
             descended = False
             for color in colors:
-                u = match_r[color]
+                u = match_r.get(color, -1)
                 if u == -1:
                     frame[2] = color
                     for fv, _, fcolor in stack:
@@ -116,7 +101,7 @@ def _hopcroft_karp(adj, n_left: int, n_right: int):
                     return True
                 if dist[u] == dist[v] + 1:
                     frame[2] = color
-                    stack.append([u, iter(adj[u]), -1])
+                    stack.append([u, iter(lists[u]), -1])
                     descended = True
                     break
             if not descended:
@@ -125,16 +110,10 @@ def _hopcroft_karp(adj, n_left: int, n_right: int):
         return False
 
     while bfs():
-        for v in range(n_left):
+        for v in range(n):
             if match_l[v] == -1:
                 dfs(v)
-    return match_l, match_r
-
-
-def max_matching(graph: VertexColorGraph) -> list[tuple[int, int]]:
-    """A maximum matching as sorted (vertex, color) pairs."""
-    match_l, _ = _hopcroft_karp(graph.adj, graph.n_left, graph.n_right)
-    return [(v, color) for v, color in enumerate(match_l) if color != -1]
+    return match_l, match_r, dist
 
 
 def colorable(assignment: ListAssignment) -> ColorabilityResult:
@@ -143,31 +122,21 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
     The violator is the set S of vertices reachable by alternating paths
     from the unmatched vertices of a maximum matching, the standard
     deficiency certificate: |S| - |N(S)| equals n minus the matching size.
+    Raises ColorOutOfRange for a listed color outside [0, num_colors).
     """
-    graph = build_adjacency(assignment)
-    match_l, match_r = _hopcroft_karp(graph.adj, graph.n_left, graph.n_right)
-    if all(color != -1 for color in match_l):
+    lists = assignment.lists
+    for v, lst in enumerate(lists):
+        for color in lst:
+            if not 0 <= color < assignment.num_colors:
+                raise ColorOutOfRange(
+                    f"vertex {v} lists color {color}, universe is [0, {assignment.num_colors})"
+                )
+    match_l, _, dist = _hopcroft_karp(lists)
+    if -1 not in match_l:
         return ColorabilityResult(coloring=tuple(match_l))
 
-    in_s = [False] * graph.n_left
-    neighborhood: set[int] = set()
-    queue = deque()
-    for v in range(graph.n_left):
-        if match_l[v] == -1:
-            in_s[v] = True
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for color in graph.adj[v]:
-            if color not in neighborhood:
-                neighborhood.add(color)
-                u = match_r[color]
-                # u == -1 would mean an augmenting path survived maximality
-                if u != -1 and not in_s[u]:
-                    in_s[u] = True
-                    queue.append(u)
-    violator_s = tuple(v for v in range(graph.n_left) if in_s[v])
-    neighbors = tuple(sorted(neighborhood))
+    violator_s = tuple(v for v, d in enumerate(dist) if d >= 0)
+    neighbors = tuple(sorted({color for v in violator_s for color in lists[v]}))
     if len(neighbors) >= len(violator_s):
         raise AssertionError("deficiency certificate failed its own recount")
     return ColorabilityResult(violator=(violator_s, neighbors))
@@ -189,7 +158,12 @@ def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityR
     for v, lst in enumerate(assignment.lists):
         if len(lst) != k:
             return ValidityReport(valid=False, bad_vertex=v)
-    for u, row in overlap_rows([_mask(lst) for lst in assignment.lists]):
+    # bits rank colors by first appearance, so masks grow with the colors in
+    # use, not the largest id; relabeling leaves every overlap size unchanged
+    rank: dict[int, int] = {}
+    masks = [_mask(rank.setdefault(color, len(rank)) for color in lst)
+             for lst in assignment.lists]
+    for u, row in overlap_rows(masks):
         if max(row, default=0) > c:
             j, overlap = next((j, size) for j, size in enumerate(row) if size > c)
             return ValidityReport(valid=False, bad_pair=(u, u + 1 + j), overlap=overlap)

@@ -94,6 +94,23 @@ def test_solve_deeply_nested_json_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "too deep" in err
 
 
+def write_huge_color_instance(path):
+    """64 one-color lists with color ids from 2**61, all distinct: a valid,
+    colorable (1,0)-instance whose ids are far too large to index by."""
+    path.write_text(json.dumps({
+        "format_version": 1, "n": 64, "c": 0, "k": 1, "num_colors": 2 ** 61 + 64,
+        "lists": [[2 ** 61 + v] for v in range(64)], "meta": {},
+    }))
+
+
+def test_solve_huge_color_ids_exits_0(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    write_huge_color_instance(inst_path)
+    code, out, err = run(capsys, "solve", str(inst_path))
+    assert code == 0 and err == ""
+    assert loads_certificate(out).coloring == tuple(2 ** 61 + v for v in range(64))
+
+
 def test_solve_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(tmp_path / "nope.json"))
     assert code == 2 and err != ""
@@ -219,6 +236,14 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(inst_path), str(cert_path), "--json")
     assert code == 2
     assert json.loads(out)["certificate_consistent"] is False
+
+
+def test_verify_huge_color_ids_exits_0(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    write_huge_color_instance(inst_path)
+    code, out, err = run(capsys, "verify", str(inst_path), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["valid"] is True
 
 
 def test_solve_output_is_deterministic(tmp_path, capsys):

@@ -13,7 +13,7 @@ from choosability.construction import (
     hard_instance,
     verify_design,
 )
-from choosability.gf import FiniteField
+from choosability.gf import FiniteField, OrderUnavailable
 
 ADMISSIBLE_16 = [(q, c) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16)
                  for c in range(1, q - 1) if (q - 1) % c == 0]
@@ -183,6 +183,14 @@ def test_augmented_inadmissible():
         hard_instance(6, 1)  # not a prime power
 
 
+def test_furedi_zero_cap_rejected():
+    # (q^2 - 1) / c is the class count; c = 0 must be refused before it
+    with pytest.raises(OrderUnavailable):
+        furedi_hypergraph(5, 0)
+    with pytest.raises(OrderUnavailable):
+        furedi_hypergraph(5, -2)
+
+
 def test_augmented_designs_verify():
     for q, c in ADMISSIBLE_16:
         report = verify_design(augmented_hypergraph(q, c), q, c)
@@ -224,7 +232,7 @@ def test_verify_design_flags_uniformity_violation():
     base = furedi_hypergraph(5, 2)
     edges = list(base.edges)
     edges[3] = edges[3][:-1]  # plant a defect: drop one vertex
-    broken = Hypergraph(base.n_vertices, tuple(edges), 5, 2)
+    broken = Hypergraph(base.n_vertices, tuple(edges))
     report = verify_design(broken, 5, 2)
     assert not report.ok
     assert any("edge 3" in v and "size 4" in v for v in report.violations)
@@ -233,6 +241,6 @@ def test_verify_design_flags_uniformity_violation():
 def test_verify_design_flags_intersection_violation():
     base = furedi_hypergraph(3, 1)
     edges = base.edges + (base.edges[0],)  # duplicate edge overlaps in q > c
-    report = verify_design(Hypergraph(base.n_vertices, edges, 3, 1), 3, 1)
+    report = verify_design(Hypergraph(base.n_vertices, edges), 3, 1)
     assert not report.ok
     assert any("intersect" in v for v in report.violations)

@@ -21,8 +21,17 @@ canonical enumerator moved from filtering finished assignments through
 `canonical_form` to pruning non-canonical prefixes (commit 629ece2). They
 pin the witnesses and the `assignments_checked` counts, so they also pin
 the order in which the search visits assignments.
+
+The `solve` digests are of the certificate `choosability solve` prints for
+the hard instance of every admissible (q, c) with q <= 16 plus (27, 1),
+(31, 3), (32, 1), (49, 3) and (64, 1) (exit 1, a Hall violator), and for
+each of those instances with its last vertex dropped (exit 0, a coloring),
+taken from the implementation before the Hall violator was read off the
+matching's final search instead of a second one (commit bb1b448). They pin
+the matching and every certificate derived from it.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -164,3 +173,74 @@ def test_probe_bytes_match_golden_digest(capsys, monkeypatch, c):
     monkeypatch.setenv("CHOOSABILITY_SEARCH_CAP", "15")
     argv = ["probe", "--nmax", "4", "--c", str(c), "--json"]
     assert _stdout_sha256(capsys, argv) == GOLDEN_PROBE_SHA256[c]
+
+
+GOLDEN_SOLVE_SHA256 = {
+    (3, 1, False): "66340652bb29c56152b76ae30773597e6948e3b507d1848e48e3c270a6a52caf",
+    (3, 1, True): "d167b12dfd0147583622066d51485b7375dcdc471c467e14b0b437bb580c863f",
+    (4, 1, False): "fb1c6c1cd2c413c8798f708e756e3427fae40bc7479bfaa3ea1ad906ee21c1a8",
+    (4, 1, True): "24242500dfc0776003385bba781cd5bf3f76b09e93e1cfa671cd8b42367a4591",
+    (5, 1, False): "41b2a68b98e0aed1507d24c562c0893140e2826b2f4b0410fd1bdaba6f1460bb",
+    (5, 1, True): "6146957e4234742c2605f1f37430d760be1b7d3c1ef7fd7fe1e087de7b3b4afc",
+    (5, 2, False): "c26892b7d767d6846025b47dcf10739139f7947e3525869226302cc767654751",
+    (5, 2, True): "b4ce7f0ce75f9b33ec9c9f7c4592e17ee619a7eb2e3da05f1e6c01cd05c48322",
+    (7, 1, False): "79d298047a6f49056ea140037070776c7ca3c4bab21492c67906d449b12298fa",
+    (7, 1, True): "bffd3a34261902fcdb1b968cc072be36abee4bdd94bea5f1bcc9bd87330bdbc3",
+    (7, 2, False): "41b2a68b98e0aed1507d24c562c0893140e2826b2f4b0410fd1bdaba6f1460bb",
+    (7, 2, True): "78c5dcc6c4686f9bc9060a7080679f084648c59a87e377f7f5bec6ae25fde842",
+    (7, 3, False): "3feafc95d7827a3965980700848a03afa226fad5cf0f126d8e577fc03873e7b4",
+    (7, 3, True): "eabdf4ce28f059050f343a07440118239cbac77e573f8d7a89d8b6f71354c41f",
+    (8, 1, False): "76a814fdb3206ab9bdb0b3f59bd1a78a263f2fc8ccc5cf6944ae69c6f375ba38",
+    (8, 1, True): "fda128f9fc10b7e25255f7ffbc276531bf38f4e3ce051d8e08b753ad38bde634",
+    (9, 1, False): "53ab7274090c2903174ce6ce12ac3b8df3770f42845d3f62bbd88e2d0c41a9c3",
+    (9, 1, True): "9eb1af9a8c2c9d555ce972209e6be5977ee63438eab4ce000e7a8c2defd360ba",
+    (9, 2, False): "0b9926bd4fe36e4ba2e5d2404a1253ca437a8416027dc81c4d61483bd3dace08",
+    (9, 2, True): "56355657b58c83471a667c47cef242add12ce0b19923ed67ccc0efadbe801acc",
+    (9, 4, False): "b6901ff7aa6bbff044f225acbb96ed49cc21ae04fce3311deb83064f4751a7bd",
+    (9, 4, True): "4bbc3a178cc2bf56f4ad00ca09316c76875d74331db72d5ae45b63077d450e46",
+    (11, 1, False): "182c26634be8a68045fb2afeb31a8986c13dc28d1641e2983c2ee384234e51df",
+    (11, 1, True): "c54636337576342995837421ebedcf9214cd3445de9043720ff6c6b1dda40ca7",
+    (11, 2, False): "e01a14bd8af011f07f72a385f5fd1572667e245c52b4a42ec408783d720e1583",
+    (11, 2, True): "1610be4097ef1936d1c81c121e0e9b01fb0b691d05827bbe48c1705d39e20e7d",
+    (11, 5, False): "41b2a68b98e0aed1507d24c562c0893140e2826b2f4b0410fd1bdaba6f1460bb",
+    (11, 5, True): "b0c5b38d50dd0c3df1c0f575b07e641b9225e843523f52d9dd19f9a212e26816",
+    (13, 1, False): "785dedaf68ada6211ea71be0e583d58230cc2a4126515438a3161dc21068d517",
+    (13, 1, True): "b4c80ec44e776b0381586731bacfc5672be408933bc0373b1fb54a0fd4e7602c",
+    (13, 2, False): "60610f23961564d52143ab81a5c7494d5825eeede7cd8386191ee29796f91c41",
+    (13, 2, True): "2754c1ecb5fa47526afc69d62b3b7bfcbe0cd4099ca20af227c0184cbf195dae",
+    (13, 3, False): "6abec7c647ec378c52594624450b8b39cfb52bb5e88c1cf5f17ee40833da1a24",
+    (13, 3, True): "281546f3adb717fde655002c7ad92f0233a7a1ccdfc868689631af5f3697d1c1",
+    (13, 4, False): "e832e77da63355278dd58e022c66c69c407df7bab42e7975447dd2828c11d85c",
+    (13, 4, True): "a181bb0db884a030edeefd5661b83e360b9cb80575fd76efa6f6ea30860ea2e0",
+    (13, 6, False): "b127589ae7fe21e5faf804e34d2c6b08e4f1c5cfa1a1b6faf445bfabeb4d8a3b",
+    (13, 6, True): "f2578accbaaf0381cc19b358408faf1d462533e4af73d93994e71a42b8cb7e07",
+    (16, 1, False): "538068a9397b0da3cc7a04a12ca6dbfb696a0466c7a865ad1a226c669bfc656c",
+    (16, 1, True): "62a69a200efb33d387e57c46df7bc6173adc55c8a6200508a2387214bf73af31",
+    (16, 3, False): "016b3db5d3b947f72feda061746e2de176c85718ce86d4850f687eeb4f32fd4e",
+    (16, 3, True): "22758cf025cb29048585f98d2c97852f1b8ea19b9949a8f04a1c575db072bff3",
+    (16, 5, False): "85eb9ff770f38875fa256f95f25f604d9a142f1592aa706da60782d11bef3c52",
+    (16, 5, True): "1550c4e8137a5d79450eeb922424067442c7d7f1d1e7f15dbf29f4928e6c2f14",
+    (27, 1, False): "10ced72d536fb319f9e67f87af5080b8d489ba78023306c218d9d00e16e2115f",
+    (27, 1, True): "f435688a01f23a9f72d85e9a907751cdfe3116b4378cb0c395473255272f31d9",
+    (31, 3, False): "d0397cc89b8c70cfff927ea550e6724e0de6f39f6735b74830735f375959f1f1",
+    (31, 3, True): "85bfa3784028dfdb0c0fc21508427a5eb136453b4f3d1cc8594dd5aac650654c",
+    (32, 1, False): "27ff2a15201a298b17677e8a1f644893d9f7e253dac4ca6100b0729423d12a02",
+    (32, 1, True): "1fd4cf90d9e1d3488d94b133505099e027eb2b4b9ad3adabfd2debfc52a23270",
+    (49, 3, False): "84ba3101d3191279c0564ee8704fdb98d865efa424de0304625277e598fef68c",
+    (49, 3, True): "87420c4ddca64818238d2ab076a6ec4c232aa0baec9bc1e0c22c938de2cb5d7c",
+    (64, 1, False): "86ad57a2c7348338ab0a611422030889b25ee1225db7387a5e326171251893b2",
+    (64, 1, True): "1a746485e99ba08c108ecb2b1e5b4be1a98470ce803867dd4b60a121b6693feb",
+}
+
+
+@pytest.mark.parametrize("q, c, drop_last", sorted(GOLDEN_SOLVE_SHA256))
+def test_solve_bytes_match_golden_digest(tmp_path, capsys, q, c, drop_last):
+    inst = hard_instance(q, c)
+    if drop_last:
+        inst = dataclasses.replace(inst, n=inst.n - 1, lists=inst.lists[:-1])
+    path = tmp_path / "instance.json"
+    path.write_text(dumps_instance(inst))
+    capsys.readouterr()
+    assert main(["solve", str(path)]) == (0 if drop_last else 1)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_SOLVE_SHA256[(q, c, drop_last)]

@@ -245,5 +245,3 @@ def test_probe_three_vertices():
 def test_probe_cap():
     with pytest.raises(SearchTooLarge):
         conjecture_probe(6, 1)
-    with pytest.raises(SearchTooLarge):
-        conjecture_probe(3, 2, k_cap=2)  # K_3 at c=2 needs k=3 > k_cap

@@ -10,58 +10,45 @@ from choosability.instances import assignment_from_lists
 from choosability.solver import (
     ColorabilityResult,
     ColorOutOfRange,
-    build_adjacency,
     check_certificate,
     colorable,
-    max_matching,
     validate_assignment,
     verify_coloring,
 )
 from conftest import kuhn_matching_size
 
 
-def test_build_adjacency_degrees():
-    a = assignment_from_lists([(0, 1), (0, 2)], c=1)
-    graph = build_adjacency(a)
-    assert graph.n_left == 2 and graph.n_right == 3
-    assert [len(row) for row in graph.adj] == [2, 2]
-    right_degrees = [sum(color in row for row in graph.adj) for color in range(3)]
-    assert right_degrees == [2, 1, 1]
-
-
-def test_build_adjacency_empty():
-    a = assignment_from_lists([], c=1)
-    graph = build_adjacency(a)
-    assert graph.n_left == 0 and graph.n_right == 0
-
-
-def test_build_adjacency_color_out_of_range():
+def test_colorable_color_out_of_range():
     a = assignment_from_lists([(0, 5)], c=1, num_colors=3)
     with pytest.raises(ColorOutOfRange):
-        build_adjacency(a)
-
-
-def test_hard_instance_adjacency_shape():
-    graph = build_adjacency(hard_instance(5, 2))
-    assert graph.n_left == 14 and graph.n_right == 13
-    assert all(len(row) == 5 for row in graph.adj)
+        colorable(a)
 
 
 # -- matching ---------------------------------------------------------------
 
+def matching_size(inst) -> int:
+    """Maximum matching size, read off colorable's deficiency certificate:
+    n - (|S| - |N(S)|), or n when a coloring exists."""
+    result = colorable(inst)
+    if result.colorable:
+        return inst.n
+    s, neighborhood = result.violator
+    return inst.n - (len(s) - len(neighborhood))
+
+
 def test_matching_disjoint_singletons():
     a = assignment_from_lists([(v,) for v in range(6)], c=0)
-    assert len(max_matching(build_adjacency(a))) == 6
+    assert matching_size(a) == 6
 
 
 def test_matching_shared_singleton():
     a = assignment_from_lists([(0,), (0,)], c=1)
-    assert len(max_matching(build_adjacency(a))) == 1
+    assert matching_size(a) == 1
 
 
 def test_matching_hard_instance_3_1():
     # only 9 colors exist for 10 vertices
-    assert len(max_matching(build_adjacency(hard_instance(3, 1)))) == 9
+    assert matching_size(hard_instance(3, 1)) == 9
 
 
 def test_matching_size_agrees_with_reference_on_random_graphs():
@@ -74,8 +61,7 @@ def test_matching_size_agrees_with_reference_on_random_graphs():
             for _ in range(n_left)
         )
         a = assignment_from_lists(adj, c=n_right, num_colors=n_right, k=0)
-        ours = len(max_matching(build_adjacency(a)))
-        assert ours == kuhn_matching_size(adj, n_left, n_right)
+        assert matching_size(a) == kuhn_matching_size(adj, n_left, n_right)
 
 
 # -- colorability decisions ----------------------------------------------------
@@ -137,7 +123,7 @@ def test_soundness_on_random_instances():
             assert len(neighborhood) < len(s)
             # deficiency form: |S| - |N(S)| = n - max matching size
             deficit = len(s) - len(neighborhood)
-            assert deficit == inst.n - len(max_matching(build_adjacency(inst)))
+            assert deficit == inst.n - kuhn_matching_size(inst.lists, inst.n, inst.num_colors)
 
 
 def test_adding_a_fresh_color_never_breaks_colorability():
