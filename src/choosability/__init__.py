@@ -28,7 +28,6 @@ from .construction import (
     ClassSpace,
     DesignReport,
     Hypergraph,
-    ProjClass,
     ZeroPair,
     augmented_hypergraph,
     furedi_hypergraph,

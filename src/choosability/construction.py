@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
 
 from .bounds import check_admissible
 from .gf import FiniteField, OrderUnavailable
@@ -37,19 +36,6 @@ class InstanceTooLarge(ValueError):
     """The instance for (q, c) would hold more than MAX_LIST_ENTRIES list entries."""
 
 
-@dataclass(frozen=True, order=True)
-class ProjClass:
-    """An equivalence class of nonzero pairs, named by its canonical member.
-
-    (a, b) is the lexicographically smallest pair in the orbit; ids number
-    the classes in order of their canonical representatives.
-    """
-
-    a: int
-    b: int
-    id: int
-
-
 @dataclass(frozen=True)
 class Hypergraph:
     """Edge list over vertex ids [0, n_vertices)."""
@@ -58,73 +44,83 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
 
-_BY_ID = attrgetter("id")
-
-
 class ClassSpace:
     """The classes of GF(q) x GF(q) minus the origin under scaling by H.
 
-    Precomputes the subgroup H and the class of every nonzero pair, so
-    membership and incidence queries are dictionary lookups. Immutable
-    once built.
+    A class is an int id; `reps[i]` is the lexicographically smallest pair
+    of class i, and ids number the classes in order of those pairs.
+    Precomputes the subgroup H and the class id of every nonzero pair
+    (a, b) at index a*q + b of one flat table, so membership and incidence
+    queries are list lookups. Immutable once built.
     """
 
     def __init__(self, fld: FiniteField, c: int):
         q = fld.q
         self.field = fld
         self.c = c
-        self.subgroup_gen = fld.element_of_order(c)
-        self.subgroup = frozenset(fld.pow(self.subgroup_gen, i) for i in range(c))
+        gen = fld.element_of_order(c)
+        self.subgroup = frozenset(fld.pow(gen, i) for i in range(c))
 
         # scanning pairs in lexicographic order meets every orbit first at
-        # its smallest member, so classes come out in representative order
-        self._class_of_pair: dict[tuple[int, int], ProjClass] = {}
-        classes: list[ProjClass] = []
-        for a in range(q):
-            for b in range(q):
-                if (a == 0 and b == 0) or (a, b) in self._class_of_pair:
-                    continue
-                cls = ProjClass(a, b, len(classes))
-                orbit = {(fld.mul(t, a), fld.mul(t, b)) for t in self.subgroup}
-                if len(orbit) != c:
-                    raise AssertionError("scaling action is not free")
-                for pair in orbit:
-                    self._class_of_pair[pair] = cls
-                classes.append(cls)
-        self._classes = tuple(classes)
+        # its smallest member, so classes come out in representative order;
+        # index 0, the origin, is never filled
+        class_id = [-1] * (q * q)
+        reps: list[tuple[int, int]] = []
+        for key in range(1, q * q):
+            if class_id[key] >= 0:
+                continue
+            a, b = divmod(key, q)
+            orbit = {fld.mul(t, a) * q + fld.mul(t, b) for t in self.subgroup}
+            if len(orbit) != c:
+                raise AssertionError("scaling action is not free")
+            for member in orbit:
+                class_id[member] = len(reps)
+            reps.append((a, b))
+        self._class_id = class_id
+        self.reps = tuple(reps)
 
-    def classes(self) -> tuple[ProjClass, ...]:
-        return self._classes
+    def classes(self) -> tuple[tuple[int, int], ...]:
+        return self.reps
 
-    def class_of(self, a: int, b: int) -> ProjClass:
+    def class_of(self, a: int, b: int) -> int:
+        q = self.field.q
+        if not (0 <= a < q and 0 <= b < q):
+            raise ValueError(f"({a}, {b}) is not a pair of elements of GF({q})")
         if a == 0 and b == 0:
             raise ZeroPair("(0, 0) does not belong to any class")
-        return self._class_of_pair[(a, b)]
+        return self._class_id[a * q + b]
 
-    def list_of_class(self, cls: ProjClass) -> tuple[ProjClass, ...]:
-        """The q classes <x,y> with a*x + b*y in H, in id order.
+    def list_of_class(self, i: int) -> tuple[int, ...]:
+        """The ids of the q classes <x,y> with a*x + b*y in H, (a, b) = reps[i],
+        in increasing order.
 
         Membership only depends on the classes involved, not on the chosen
         representatives, because H is closed under multiplication. Each
         member class has exactly one pair with a*x + b*y = 1 (scaling by t
         multiplies the sum by t), so the q solutions of that equation, with
-        y = (1 - a*x) / b for every x when b != 0 and x = 1/a for every y
+        y = 1/b - (a/b)*x for every x when b != 0 and x = 1/a for every y
         otherwise, name the q members directly.
         """
+        if not 0 <= i < len(self.reps):
+            raise ValueError(f"class id {i} is outside [0, {len(self.reps)})")
         fld = self.field
-        a, b = cls.a, cls.b
+        q = fld.q
+        class_id = self._class_id
+        a, b = self.reps[i]
         if b:
-            inv_b = fld.inv(b)
-            pairs = ((x, fld.mul(inv_b, fld.sub(1, fld.mul(a, x)))) for x in fld.elements())
+            beta = fld.inv(b)
+            slope = fld.neg(fld.mul(a, beta))
+            members = [class_id[x * q + fld.add(beta, fld.mul(slope, x))] for x in range(q)]
         else:
-            pairs = ((fld.inv(a), y) for y in fld.elements())
-        return tuple(sorted((self._class_of_pair[pair] for pair in pairs), key=_BY_ID))
+            start = fld.inv(a) * q
+            members = class_id[start:start + q]
+        return tuple(sorted(members))
 
-    def origin_line(self, slope: int) -> tuple[ProjClass, ...]:
-        """The (q-1)/c classes of the punctured line y = slope * x, id order."""
+    def origin_line(self, slope: int) -> tuple[int, ...]:
+        """The ids of the (q-1)/c classes of the punctured line y = slope * x,
+        in increasing order."""
         fld = self.field
-        members = {self.class_of(x, fld.mul(slope, x)) for x in range(1, fld.q)}
-        return tuple(sorted(members, key=_BY_ID))
+        return tuple(sorted({self.class_of(x, fld.mul(slope, x)) for x in range(1, fld.q)}))
 
 
 @lru_cache(maxsize=None)
@@ -146,10 +142,7 @@ def furedi_hypergraph(q: int, c: int) -> Hypergraph:
     """The q-uniform hypergraph on class ids whose edge i is the incidence
     list of class i: (q^2-1)/c vertices and edges, intersections <= c."""
     space = _space(q, c)
-    edges = tuple(
-        tuple(member.id for member in space.list_of_class(cls))
-        for cls in space.classes()
-    )
+    edges = tuple(space.list_of_class(i) for i in range(len(space.reps)))
     return Hypergraph(n_vertices=len(edges), edges=edges)
 
 
@@ -169,7 +162,7 @@ def augmented_hypergraph(q: int, c: int) -> Hypergraph:
     for start in (0, c):
         members = {fresh}
         for slope in range(start, start + c):
-            members.update(cls.id for cls in space.origin_line(slope))
+            members.update(space.origin_line(slope))
         bundles.append(tuple(sorted(members)))
     return Hypergraph(n_vertices=fresh + 1, edges=base.edges + tuple(bundles))
 

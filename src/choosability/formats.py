@@ -73,14 +73,17 @@ def instance_from_json_dict(data) -> ListAssignment:
     _require(isinstance(lists, list), "field 'lists' must be an array")
     _require(len(lists) == n, f"expected {n} lists, found {len(lists)}")
     parsed = []
+    # messages are built only on failure: this loop visits every color
     for v, lst in enumerate(lists):
-        _require(isinstance(lst, list), f"lists[{v}] must be an array")
-        _require(len(lst) == k, f"lists[{v}] has {len(lst)} colors, expected k={k}")
+        if not isinstance(lst, list):
+            raise FormatError(f"lists[{v}] must be an array")
+        if len(lst) != k:
+            raise FormatError(f"lists[{v}] has {len(lst)} colors, expected k={k}")
         for color in lst:
-            _require(_is_int(color) and 0 <= color < num_colors,
-                     f"lists[{v}] contains {color!r}, outside [0, {num_colors})")
-        _require(all(a < b for a, b in zip(lst, lst[1:])),
-                 f"lists[{v}] must be strictly increasing")
+            if not (_is_int(color) and 0 <= color < num_colors):
+                raise FormatError(f"lists[{v}] contains {color!r}, outside [0, {num_colors})")
+        if not all(a < b for a, b in zip(lst, lst[1:])):
+            raise FormatError(f"lists[{v}] must be strictly increasing")
         parsed.append(tuple(lst))
     meta = data.get("meta")
     _require(meta is None or isinstance(meta, dict), "field 'meta' must be an object")

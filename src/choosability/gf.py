@@ -210,9 +210,6 @@ class FiniteField:
         self._check(x)
         return self._neg[x]
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         self._check(x)
         self._check(y)

@@ -27,7 +27,7 @@ def test_class_counts():
     eight = ClassSpace(FiniteField(3), 1).classes()
     assert len(eight) == 8
     # with the trivial subgroup every nonzero pair is its own class
-    assert [(cls.a, cls.b) for cls in eight] == [
+    assert list(eight) == [
         (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
 
@@ -40,8 +40,9 @@ def test_orbit_structure():
 
 def test_class_of_examples():
     field = FiniteField(5)
-    cls = ClassSpace(field, 2).class_of(1, 2)
-    assert (cls.a, cls.b) == (1, 2)
+    space = ClassSpace(field, 2)
+    cls = space.class_of(1, 2)
+    assert space.reps[cls] == (1, 2)
     # (4, 3) = 4 * (1, 2) lies in the same orbit under H = {1, 4}
     assert ClassSpace(field, 2).class_of(4, 3) == cls
     assert ClassSpace(FiniteField(3), 1).class_of(2, 1) == ClassSpace(FiniteField(3), 1).class_of(2, 1)
@@ -52,12 +53,24 @@ def test_class_of_zero_pair_rejected():
         ClassSpace(FiniteField(5), 2).class_of(0, 0)
 
 
+def test_class_of_out_of_range_rejected():
+    # the class table is flat, so an unchecked pair or id would alias another class
+    space = ClassSpace(FiniteField(5), 2)
+    for a, b in [(0, 6), (5, 0), (-1, 1), (1, -1), (0, 25)]:
+        with pytest.raises(ValueError):
+            space.class_of(a, b)
+    for i in (-1, len(space.reps), 10 ** 6):
+        with pytest.raises(ValueError):
+            space.list_of_class(i)
+
+
 def test_ids_follow_representative_order():
     for q, c in [(5, 2), (7, 3), (9, 4)]:
-        cls_list = ClassSpace(FiniteField(q), c).classes()
-        reps = [(cls.a, cls.b) for cls in cls_list]
+        space = ClassSpace(FiniteField(q), c)
+        cls_list = space.classes()
+        reps = list(cls_list)
         assert reps == sorted(reps)
-        assert [cls.id for cls in cls_list] == list(range(len(cls_list)))
+        assert [space.class_of(a, b) for a, b in cls_list] == list(range(len(cls_list)))
 
 
 # -- incidence lists -------------------------------------------------------------
@@ -67,8 +80,8 @@ def _members_from_raw_pair(space, a, b):
     member (a, b), without canonicalizing it first."""
     fld = space.field
     return frozenset(
-        cls.id for cls in space.classes()
-        if fld.add(fld.mul(a, cls.a), fld.mul(b, cls.b)) in space.subgroup
+        i for i, (x, y) in enumerate(space.reps)
+        if fld.add(fld.mul(a, x), fld.mul(b, y)) in space.subgroup
     )
 
 
@@ -78,34 +91,34 @@ def test_list_of_class_gf3_example():
     field = FiniteField(3)
     space = ClassSpace(field, 1)
     members = space.list_of_class(space.class_of(1, 0))
-    assert sorted((cls.a, cls.b) for cls in members) == [(1, 0), (1, 1), (1, 2)]
+    assert sorted(space.reps[i] for i in members) == [(1, 0), (1, 1), (1, 2)]
 
 
 def test_list_sizes_are_q():
     for q, c in ADMISSIBLE_16:
         space = ClassSpace(FiniteField(q), c)
-        for cls in space.classes():
-            assert len(space.list_of_class(cls)) == q
+        for i in range(len(space.reps)):
+            assert len(space.list_of_class(i)) == q
 
 
 def test_lists_well_defined_across_orbit_members():
     for q, c in ADMISSIBLE_16:
         space = ClassSpace(FiniteField(q), c)
         fld = space.field
-        for cls in space.classes():
-            reference = _members_from_raw_pair(space, cls.a, cls.b)
+        for i, (a, b) in enumerate(space.reps):
+            reference = _members_from_raw_pair(space, a, b)
             for t in space.subgroup:
                 scaled = _members_from_raw_pair(
-                    space, fld.mul(t, cls.a), fld.mul(t, cls.b))
+                    space, fld.mul(t, a), fld.mul(t, b))
                 assert scaled == reference
-            assert frozenset(m.id for m in space.list_of_class(cls)) == reference
+            assert frozenset(space.list_of_class(i)) == reference
 
 
 def test_intersection_dichotomy():
     for q, c in [(5, 2), (7, 3), (8, 1), (9, 4), (16, 5)]:
         space = ClassSpace(FiniteField(q), c)
-        member_sets = [frozenset(m.id for m in space.list_of_class(cls))
-                       for cls in space.classes()]
+        member_sets = [frozenset(space.list_of_class(i))
+                       for i in range(len(space.reps))]
         for i in range(len(member_sets)):
             for j in range(i + 1, len(member_sets)):
                 assert len(member_sets[i] & member_sets[j]) in (0, c)
@@ -129,25 +142,27 @@ def test_incidence_symmetry_and_regularity():
 
 def test_origin_line_examples():
     field5 = FiniteField(5)
-    line = ClassSpace(field5, 2).origin_line(0)
-    assert sorted((cls.a, cls.b) for cls in line) == [(1, 0), (2, 0)]
+    space5 = ClassSpace(field5, 2)
+    line = space5.origin_line(0)
+    assert sorted(space5.reps[i] for i in line) == [(1, 0), (2, 0)]
     field3 = FiniteField(3)
-    line = ClassSpace(field3, 1).origin_line(1)
-    assert sorted((cls.a, cls.b) for cls in line) == [(1, 1), (2, 2)]
+    space3 = ClassSpace(field3, 1)
+    line = space3.origin_line(1)
+    assert sorted(space3.reps[i] for i in line) == [(1, 1), (2, 2)]
 
 
 def test_origin_line_sizes_disjointness_transversality():
     for q, c in [(5, 2), (7, 3), (9, 4), (8, 1)]:
         space = ClassSpace(FiniteField(q), c)
-        lines = [frozenset(cls.id for cls in space.origin_line(m))
+        lines = [frozenset(space.origin_line(m))
                  for m in range(q)]
         for line in lines:
             assert len(line) == (q - 1) // c
         for i in range(q):
             for j in range(i + 1, q):
                 assert not lines[i] & lines[j]
-        for cls in space.classes():
-            members = frozenset(m.id for m in space.list_of_class(cls))
+        for i in range(len(space.reps)):
+            members = frozenset(space.list_of_class(i))
             for line in lines:
                 assert len(line & members) <= 1
 

@@ -48,6 +48,10 @@ def test_certificate_round_trip_both_shapes():
     (lambda d: d["lists"][0].__setitem__(0, 99), "outside"),
     (lambda d: d["lists"][0].reverse(), "strictly increasing"),
     (lambda d: d.update(n=3), "expected 3 lists"),
+    (lambda d: d["lists"][0].__setitem__(0, True), "contains True, outside"),
+    (lambda d: d["lists"][0].__setitem__(0, -1), "contains -1, outside"),
+    (lambda d: d["lists"][0].__setitem__(0, "0"), "contains '0', outside"),
+    (lambda d: d["lists"].__setitem__(0, 5), r"lists\[0\] must be an array"),
 ])
 def test_instance_schema_rejection(mutate, fragment):
     import json
