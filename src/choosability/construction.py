@@ -199,8 +199,6 @@ class DesignReport:
     ok: bool
     n_vertices: int
     n_edges: int
-    uniformity: int
-    intersection_cap: int
     max_intersection: int
     intersection_sizes: tuple[int, ...]
     degree_histogram: dict[int, int]
@@ -242,8 +240,6 @@ def verify_design(hypergraph: Hypergraph, q: int, c: int) -> DesignReport:
         ok=not violations,
         n_vertices=hypergraph.n_vertices,
         n_edges=len(hypergraph.edges),
-        uniformity=q,
-        intersection_cap=c,
         max_intersection=max(sizes, default=0),
         intersection_sizes=tuple(sorted(sizes)),
         degree_histogram=dict(sorted(histogram.items())),

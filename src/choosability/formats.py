@@ -63,8 +63,9 @@ def instance_from_json_dict(data) -> ListAssignment:
     _require(isinstance(data, dict), "instance must be a JSON object")
     for key in ("format_version", "n", "c", "k", "num_colors", "lists"):
         _require(key in data, f"missing required field '{key}'")
-    _require(data["format_version"] == INSTANCE_FORMAT_VERSION,
-             f"unsupported format_version {data['format_version']!r}")
+    version = data["format_version"]
+    _require(_is_int(version) and version == INSTANCE_FORMAT_VERSION,
+             f"unsupported format_version {version!r}")
     n, c, k, num_colors = data["n"], data["c"], data["k"], data["num_colors"]
     for name, value in (("n", n), ("c", c), ("k", k), ("num_colors", num_colors)):
         _require(_is_int(value) and value >= 0,

@@ -100,47 +100,10 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     raise NotPrimePower(f"{q} is not a power of a prime")
 
 
-def _poly_rem(f: list[int], g: tuple[int, ...], p: int) -> list[int]:
-    """Remainder of f modulo the monic polynomial g, coefficients mod p.
-
-    Polynomials are little-endian coefficient lists (constant term first).
-    """
-    r = [x % p for x in f]
-    deg_g = len(g) - 1
-    for i in range(len(r) - 1, deg_g - 1, -1):
-        lead = r[i]
-        if lead:
-            for j in range(deg_g + 1):
-                r[i - deg_g + j] = (r[i - deg_g + j] - lead * g[j]) % p
-    return r[:deg_g]
-
-
 def _monic_polys(p: int, degree: int):
     # ascending lexicographic order on (a_0, ..., a_{degree-1}), constant first
     for coeffs in itertools.product(range(p), repeat=degree):
         yield coeffs + (1,)
-
-
-def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Irreducibility over GF(p) by trial division.
-
-    Tries every monic divisor of degree at most deg(poly)/2; adequate for
-    the desk-scale degrees this library works with.
-    """
-    degree = len(poly) - 1
-    for d in range(1, degree // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not any(_poly_rem(list(poly), g, p)):
-                return False
-    return True
-
-
-def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree m over GF(p)."""
-    for poly in _monic_polys(p, m):
-        if is_irreducible(poly, p):
-            return poly
-    raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
 class FiniteField:
@@ -149,10 +112,11 @@ class FiniteField:
     Every field, prime fields included (GF(p) = GF(p)[x]/(x)), builds its
     tables once at construction: addition, negation and multiplication
     tables plus exponent/logarithm tables over a primitive element, so
-    every operation is a range check and a lookup. The tables are an
-    internal optimization only; every result is determined by the modulus
-    choice. `modulus` is None for prime fields. The add and mul tables hold
-    q^2 entries each, which bounds the field orders worth building.
+    every operation is a range check and a lookup. Products, the modulus
+    and the primitive element all come from the addition table; every
+    result is determined by the modulus choice. `modulus` is None for
+    prime fields. The add and mul tables hold q^2 entries each, which
+    bounds the field orders worth building.
 
     Immutable after construction and safe for concurrent reads.
     """
@@ -162,9 +126,8 @@ class FiniteField:
         self.q = q
         self.p = p
         self.m = m
-        modulus = smallest_irreducible(p, m)
+        modulus = self._build_tables()
         self.modulus: tuple[int, ...] | None = modulus if m > 1 else None
-        self._build_tables(modulus)
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"
@@ -177,23 +140,6 @@ class FiniteField:
 
     def elements(self) -> range:
         return range(self.q)
-
-    # -- encoding ----------------------------------------------------------
-
-    def digits(self, x: int) -> tuple[int, ...]:
-        """Base-p digits of x, constant-term coefficient first."""
-        self._check(x)
-        out = []
-        for _ in range(self.m):
-            x, d = divmod(x, self.p)
-            out.append(d)
-        return tuple(out)
-
-    def from_digits(self, digits) -> int:
-        val = 0
-        for d in reversed(list(digits)):
-            val = val * self.p + d
-        return val
 
     # -- arithmetic --------------------------------------------------------
 
@@ -256,8 +202,9 @@ class FiniteField:
 
     # -- internals -----------------------------------------------------------
 
-    def _build_tables(self, modulus: tuple[int, ...]) -> None:
-        q, p = self.q, self.p
+    def _build_tables(self) -> tuple[int, ...]:
+        """Build every table from the addition table; return the modulus."""
+        q, p, m = self.q, self.p, self.m
         # digitwise addition: the low digit plus the already tabulated sum
         # of the higher digits, filled in increasing index order
         add = [0] * (q * q)
@@ -265,23 +212,44 @@ class FiniteField:
             for y in range(q):
                 add[x * q + y] = (x + y) % p + p * add[x // p * q + y // p]
         self._add = add
-        self._neg = [add[x * q:(x + 1) * q].index(0) for x in range(q)]
+        self._neg = neg = [add[x * q:(x + 1) * q].index(0) for x in range(q)]
+        top = q // p  # p^(m-1), the place value of the leading digit
 
-        def mul_raw(x: int, y: int) -> int:
-            # table-free polynomial multiplication, used only while bootstrapping
-            xd, yd = self.digits(x), self.digits(y)
-            prod = [0] * (2 * self.m - 1)
-            for i, xi in enumerate(xd):
-                for j, yj in enumerate(yd):
-                    prod[i + j] += xi * yj
-            return self.from_digits(_poly_rem(prod, modulus, p))
+        def multiples(g: int) -> list[int]:
+            # d*g for d < p, by repeated addition
+            out = [0]
+            for _ in range(p - 1):
+                out.append(add[out[-1] * q + g])
+            return out
+
+        def column(g: int, fold: list[int]) -> list[int]:
+            # x*g for every x, one digit at a time: x = t*p^j + r with r < p^j
+            # gives x*g = t*(X^j*g) + r*g, and r*g is already in the column.
+            # X*e shifts e's digits up and adds fold[t] = t*X^m for the
+            # leading digit t pushed out.
+            col, e = [0], g
+            for _ in range(m):
+                col = [add[a * q + b] for a in multiples(e) for b in col]
+                e = add[e % top * p * q + fold[e // top]]
+            return col
+
+        # GF(p)[X]/(f) is a field exactly when it has no zero divisor (Lidl
+        # and Niederreiter, Finite Fields, ch. 1). A reducible f is g*h with
+        # g monic of degree 1..m//2 and h a nonzero element, so testing
+        # those g's columns for a 0 decides f.
+        for f in _monic_polys(p, m):
+            fold = multiples(neg[sum(a * p ** j for j, a in enumerate(f[:m]))])
+            if not any(0 in column(g, fold)[1:]
+                       for d in range(1, m // 2 + 1) for g in range(p ** d, 2 * p ** d)):
+                break
 
         for g in range(1, q):
+            col = column(g, fold)
             exp = [1]
             x = g
             while x != 1:
                 exp.append(x)
-                x = mul_raw(x, g)
+                x = col[x]
             if len(exp) == q - 1:
                 break
         else:
@@ -292,3 +260,4 @@ class FiniteField:
         self._exp, self._log = exp, log
         self._mul = [exp[(log[x] + log[y]) % (q - 1)] if x and y else 0
                      for x in range(q) for y in range(q)]
+        return f

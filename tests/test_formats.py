@@ -44,6 +44,8 @@ def test_certificate_round_trip_both_shapes():
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda d: d.pop("n"), "missing required field 'n'"),
     (lambda d: d.update(format_version=2), "format_version"),
+    (lambda d: d.update(format_version=True), "format_version True"),
+    (lambda d: d.update(format_version=1.0), "format_version 1.0"),
     (lambda d: d["lists"][0].append(99), "expected k="),
     (lambda d: d["lists"][0].__setitem__(0, 99), "outside"),
     (lambda d: d["lists"][0].reverse(), "strictly increasing"),

@@ -13,7 +13,6 @@ from choosability.gf import (
     ZeroHasNoOrder,
     factor_prime_power,
     iroot,
-    smallest_irreducible,
 )
 from conftest import totient, trial_division_is_prime
 
@@ -121,11 +120,10 @@ def test_prime_field_has_no_modulus():
     assert field.modulus is None
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256])
 def test_modulus_is_lex_smallest_irreducible(q):
     p, m = factor_prime_power(q)
     irreducibles = _irreducibles_by_products(p, m)
-    assert smallest_irreducible(p, m) == min(irreducibles)
     assert FiniteField(q).modulus == min(irreducibles)
 
 
@@ -193,14 +191,45 @@ def test_field_laws_randomized_to_256(q):
     _check_laws(field, zip(picks[0::3], picks[1::3], picks[2::3]))
 
 
-def test_encoding_roundtrip():
-    for q in (4, 8, 9, 27, 16):
-        field = FiniteField(q)
-        for x in field.elements():
-            digits = field.digits(x)
-            assert len(digits) == field.m
-            assert all(0 <= d < field.p for d in digits)
-            assert field.from_digits(digits) == x
+def _poly_rem(f, g, p):
+    """Remainder of f modulo the monic g, both constant term first."""
+    r = list(f)
+    deg = len(g) - 1
+    for i in range(len(r) - 1, deg - 1, -1):
+        lead = r[i]
+        for j in range(deg + 1):
+            r[i - deg + j] = (r[i - deg + j] - lead * g[j]) % p
+    return r[:deg]
+
+
+def _check_mul_is_polynomial_product(field, pairs):
+    p, m = field.p, field.m
+    modulus = field.modulus or (0, 1)  # GF(p) = GF(p)[x]/(x)
+
+    def digits(x):
+        out = []
+        for _ in range(m):
+            x, d = divmod(x, p)
+            out.append(d)
+        return out
+
+    for x, y in pairs:
+        rem = _poly_rem(_poly_mul(digits(x), digits(y), p), modulus, p)
+        assert field.mul(x, y) == sum(d * p ** j for j, d in enumerate(rem)), (field, x, y)
+
+
+@pytest.mark.parametrize("q", prime_powers_between(2, 32))
+def test_mul_is_polynomial_product_exhaustive_small(q):
+    field = FiniteField(q)
+    _check_mul_is_polynomial_product(field, itertools.product(field.elements(), repeat=2))
+
+
+@pytest.mark.parametrize("q", prime_powers_between(33, 256))
+def test_mul_is_polynomial_product_sampled_to_256(q):
+    field = FiniteField(q)
+    rng = random.Random(q)
+    picks = rng.choices(range(q), k=2 * 2_000)
+    _check_mul_is_polynomial_product(field, zip(picks[0::2], picks[1::2]))
 
 
 def test_pow_matches_repeated_multiplication():
