@@ -40,7 +40,6 @@ from .oracle import (
     ProbeReport,
     SearchTooLarge,
     SmallGraph,
-    canonical_form,
     complete_graph,
     conjecture_probe,
     exact_chi_l_complete,

@@ -311,8 +311,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # every refusal in the package (bad input, inadmissible (q, c), a search
-    # or instance over its cap, is_prime's range) is a ValueError subclass
-    except (ValueError, OverflowError, OSError) as exc:
+    # or instance over its cap, is_prime's range) is a ValueError subclass;
+    # the oracle recurses once per vertex, so a deep search can exhaust the
+    # interpreter's recursion limit
+    except (ValueError, OverflowError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

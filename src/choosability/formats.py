@@ -23,7 +23,7 @@ class FormatError(ValueError):
 
 # -- instances -----------------------------------------------------------------
 
-def instance_to_json_dict(assignment: ListAssignment) -> dict:
+def dumps_instance(assignment: ListAssignment) -> str:
     out = {
         "format_version": INSTANCE_FORMAT_VERSION,
         "n": assignment.n,
@@ -31,13 +31,9 @@ def instance_to_json_dict(assignment: ListAssignment) -> dict:
         "k": assignment.k,
         "num_colors": assignment.num_colors,
         "lists": [list(lst) for lst in assignment.lists],
+        "meta": assignment.meta if assignment.meta is not None else {},
     }
-    out["meta"] = assignment.meta if assignment.meta is not None else {}
-    return out
-
-
-def dumps_instance(assignment: ListAssignment) -> str:
-    return json.dumps(instance_to_json_dict(assignment), separators=(",", ":")) + "\n"
+    return json.dumps(out, separators=(",", ":")) + "\n"
 
 
 def _parse_json(text: str):
@@ -59,7 +55,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def instance_from_json_dict(data) -> ListAssignment:
+def loads_instance(text: str) -> ListAssignment:
+    data = _parse_json(text)
     _require(isinstance(data, dict), "instance must be a JSON object")
     for key in ("format_version", "n", "c", "k", "num_colors", "lists"):
         _require(key in data, f"missing required field '{key}'")
@@ -92,10 +89,6 @@ def instance_from_json_dict(data) -> ListAssignment:
                           lists=tuple(parsed), meta=meta or None)
 
 
-def loads_instance(text: str) -> ListAssignment:
-    return instance_from_json_dict(_parse_json(text))
-
-
 def instance_to_text(assignment: ListAssignment) -> str:
     """Plain-text export: header 'n c k num_colors', then one
     space-separated color list per vertex."""
@@ -106,22 +99,21 @@ def instance_to_text(assignment: ListAssignment) -> str:
 
 # -- certificates ----------------------------------------------------------------
 
-def certificate_to_json_dict(result: ColorabilityResult) -> dict:
-    if result.colorable:
-        return {"colorable": True, "coloring": list(result.coloring)}
-    violator_s, neighborhood = result.violator
-    return {
-        "colorable": False,
-        "violator_S": list(violator_s),
-        "neighborhood": list(neighborhood),
-    }
-
-
 def dumps_certificate(result: ColorabilityResult) -> str:
-    return json.dumps(certificate_to_json_dict(result), separators=(",", ":")) + "\n"
+    if result.colorable:
+        out = {"colorable": True, "coloring": list(result.coloring)}
+    else:
+        violator_s, neighborhood = result.violator
+        out = {
+            "colorable": False,
+            "violator_S": list(violator_s),
+            "neighborhood": list(neighborhood),
+        }
+    return json.dumps(out, separators=(",", ":")) + "\n"
 
 
-def certificate_from_json_dict(data) -> ColorabilityResult:
+def loads_certificate(text: str) -> ColorabilityResult:
+    data = _parse_json(text)
     _require(isinstance(data, dict), "certificate must be a JSON object")
     _require("colorable" in data, "missing required field 'colorable'")
     if data["colorable"] is True:
@@ -137,10 +129,6 @@ def certificate_from_json_dict(data) -> ColorabilityResult:
     return ColorabilityResult(
         violator=(tuple(data["violator_S"]), tuple(data["neighborhood"]))
     )
-
-
-def loads_certificate(text: str) -> ColorabilityResult:
-    return certificate_from_json_dict(_parse_json(text))
 
 
 # -- files ------------------------------------------------------------------------

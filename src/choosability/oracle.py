@@ -10,8 +10,8 @@ assignment as soon as two adjacent colors' vertex sets are out of that
 order, which no later vertex can repair, so every assignment it completes
 is canonical and no finished assignment is thrown away. Every
 (k,c)-assignment is equivalent to exactly one canonical assignment, so
-exhausting the canonical space decides whether a given k always admits a
-proper coloring.
+running the canonical space through a backtracking colorer decides whether
+a given k always admits a proper coloring.
 
 Searches refuse instead of truncating: a partial search must never report
 an exact value.
@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import solver
 from .instances import ListAssignment
 
 
@@ -54,36 +53,6 @@ class SmallGraph:
 
 def complete_graph(n: int) -> SmallGraph:
     return SmallGraph.of(n, itertools.combinations(range(n), 2))
-
-
-def canonical_form(lists) -> Assignment:
-    """The lexicographically smallest color relabeling of an assignment.
-
-    Relabeling colors permutes the per-color vertex sets ("columns");
-    the tuple of sorted lists is minimized exactly when the columns are
-    numbered in ascending characteristic-vector order (at the first vertex
-    where two columns differ, the one containing it comes first). An
-    adjacent swap violating that order strictly lowers the first affected
-    list, so the sorted order is the unique minimum.
-    """
-    n = len(lists)
-    columns: dict[int, list[int]] = {}
-    for v, lst in enumerate(lists):
-        for color in lst:
-            columns.setdefault(color, []).append(v)
-
-    def column_key(vertices: list[int]) -> tuple[int, ...]:
-        bits = [1] * n
-        for v in vertices:
-            bits[v] = 0
-        return tuple(bits)
-
-    order = sorted(columns.values(), key=column_key)
-    relabeled: list[list[int]] = [[] for _ in range(n)]
-    for new_id, vertices in enumerate(order):
-        for v in vertices:
-            relabeled[v].append(new_id)
-    return tuple(tuple(lst) for lst in relabeled)
 
 
 def iter_canonical_assignments(n: int, k: int, c: int, *, edges=None,
@@ -167,18 +136,28 @@ class ChiSearchResult:
     assignments_checked: int
 
 
-def _chi_search(n: int, c: int, edges, admits_coloring, cap: int) -> ChiSearchResult:
+def _first_uncolorable(n: int, k: int, c: int, edges, cap: int) -> tuple[Assignment | None, int]:
+    """The first canonical (k,c)-assignment on the graph that its colorer
+    rejects (None if none) and how many were examined. The enumerator
+    refuses n * k over `cap` before the colorer's O(n^2) setup runs."""
+    assignments = iter_canonical_assignments(n, k, c, edges=edges, cap=cap)
+    colorable = _colorer(n, edges)
+    checked = 0
+    for assignment in assignments:
+        checked += 1
+        if not colorable(assignment):
+            return assignment, checked
+    return None, checked
+
+
+def _chi_search(n: int, c: int, edges, cap: int) -> ChiSearchResult:
     if n < 1 or c < 0:
         raise ValueError(f"need n >= 1 and c >= 0, got n={n}, c={c}")
     checked = 0
     defeated = None
     for k in range(1, n + 1):
-        bad = None
-        for assignment in iter_canonical_assignments(n, k, c, edges=edges, cap=cap):
-            checked += 1
-            if not admits_coloring(assignment):
-                bad = assignment
-                break
+        bad, examined = _first_uncolorable(n, k, c, edges, cap)
+        checked += examined
         if bad is None:
             return ChiSearchResult(n=n, c=c, chi_l=k, defeated_by=defeated,
                                    assignments_checked=checked)
@@ -188,33 +167,27 @@ def _chi_search(n: int, c: int, edges, admits_coloring, cap: int) -> ChiSearchRe
 
 def chi_l_complete_search(n: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> ChiSearchResult:
     """Exact least k such that every canonical (k,c)-assignment on K_n is
-    colorable, decided by the matching solver, with search statistics."""
-
-    def admits(assignment: Assignment) -> bool:
-        # canonical lists are sorted, duplicate-free and use colors below n*k
-        k = len(assignment[0])
-        return solver.colorable(ListAssignment(n, k, c, n * k, assignment)).colorable
-
-    return _chi_search(n, c, None, admits, cap)
+    colorable, decided by the backtracking of `chi_l_graph_search` (not by
+    the matching solver, which it thereby cross-checks)."""
+    return _chi_search(n, c, None, cap)
 
 
 def exact_chi_l_complete(n: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> int:
     return chi_l_complete_search(n, c, cap=cap).chi_l
 
 
-def _colorer(graph: SmallGraph):
-    """The backtracking list-colorability test for one graph, built once and
-    applied to raw per-vertex lists: vertices are tried in decreasing degree
-    order, each against the neighbors placed before it. Limited to n <= 8."""
-    if graph.n > 8:
-        raise SearchTooLarge(f"backtracking limited to 8 vertices, got {graph.n}")
-    adj: list[set[int]] = [set() for _ in range(graph.n)]
-    for u, v in graph.edges:
+def _colorer(n: int, edges):
+    """The backtracking list-colorability test for the graph on n vertices
+    with these edges (None for the complete graph), built once per
+    enumeration and applied to raw per-vertex lists: vertices are tried in
+    decreasing degree order, each against the neighbors placed before it."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2) if edges is None else edges:
         adj[u].add(v)
         adj[v].add(u)
-    order = sorted(range(graph.n), key=lambda v: (-len(adj[v]), v))
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     steps = [(v, [u for u in order[:i] if u in adj[v]]) for i, v in enumerate(order)]
-    chosen = [-1] * graph.n
+    chosen = [-1] * n
 
     def extend(lists, i: int) -> bool:
         if i == len(steps):
@@ -240,13 +213,15 @@ def list_colorable_graph(graph: SmallGraph, assignment: ListAssignment) -> bool:
     if len(assignment.lists) != graph.n:
         raise ValueError(
             f"assignment has {len(assignment.lists)} lists for {graph.n} vertices")
-    return _colorer(graph)(assignment.lists)
+    if graph.n > 8:
+        raise SearchTooLarge(f"backtracking limited to 8 vertices, got {graph.n}")
+    return _colorer(graph.n, graph.edges)(assignment.lists)
 
 
 def chi_l_graph_search(graph: SmallGraph, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> ChiSearchResult:
     """Exact least k such that every canonical (k,c)-assignment on the
     graph (cap applying to adjacent pairs only) is colorable."""
-    return _chi_search(graph.n, c, graph.edges, _colorer(graph), cap)
+    return _chi_search(graph.n, c, graph.edges, cap)
 
 
 def exact_chi_l_graph(graph: SmallGraph, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> int:
@@ -278,6 +253,7 @@ def conjecture_probe(n_max: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> Pr
     if n_max > 5:
         raise SearchTooLarge(f"probe enumerates all labeled graphs; n_max <= 5, got {n_max}")
     complete_values: dict[int, int] = {}
+    counterexample = None
     graphs_checked = 0
     assignments_checked = 0
     for n in range(1, n_max + 1):
@@ -287,15 +263,14 @@ def conjecture_probe(n_max: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> Pr
         for bits in range(1 << len(all_pairs)):
             edges = tuple(pair for i, pair in enumerate(all_pairs) if bits >> i & 1)
             graph = SmallGraph(n, edges)
-            colorable = _colorer(graph)
             graphs_checked += 1
-            for assignment in iter_canonical_assignments(n, k0, c, edges=edges, cap=cap):
-                assignments_checked += 1
-                if not colorable(assignment):
-                    return ProbeReport(n_max=n_max, c=c, complete_values=complete_values,
-                                       counterexample=(graph, assignment),
-                                       graphs_checked=graphs_checked,
-                                       assignments_checked=assignments_checked)
+            bad, examined = _first_uncolorable(n, k0, c, edges, cap)
+            assignments_checked += examined
+            if bad is not None:
+                counterexample = (graph, bad)
+                break
+        if counterexample is not None:
+            break
     return ProbeReport(n_max=n_max, c=c, complete_values=complete_values,
-                       counterexample=None, graphs_checked=graphs_checked,
+                       counterexample=counterexample, graphs_checked=graphs_checked,
                        assignments_checked=assignments_checked)

@@ -76,6 +76,36 @@ def brute_force_canonical(lists) -> tuple:
     return best if best is not None else tuple(tuple(lst) for lst in lists)
 
 
+def canonical_form(lists) -> tuple:
+    """The lexicographically smallest color relabeling of an assignment.
+
+    Relabeling colors permutes the per-color vertex sets ("columns");
+    the tuple of sorted lists is minimized exactly when the columns are
+    numbered in ascending characteristic-vector order (at the first vertex
+    where two columns differ, the one containing it comes first). An
+    adjacent swap violating that order strictly lowers the first affected
+    list, so the sorted order is the unique minimum.
+    """
+    n = len(lists)
+    columns: dict[int, list[int]] = {}
+    for v, lst in enumerate(lists):
+        for color in lst:
+            columns.setdefault(color, []).append(v)
+
+    def column_key(vertices: list[int]) -> tuple[int, ...]:
+        bits = [1] * n
+        for v in vertices:
+            bits[v] = 0
+        return tuple(bits)
+
+    order = sorted(columns.values(), key=column_key)
+    relabeled: list[list[int]] = [[] for _ in range(n)]
+    for new_id, vertices in enumerate(order):
+        for v in vertices:
+            relabeled[v].append(new_id)
+    return tuple(tuple(lst) for lst in relabeled)
+
+
 def generate_then_filter(n: int, k: int, c: int, edges=None):
     """Canonical (k,c)-assignments on n vertices in the enumerator's order,
     by the generate-then-filter method: every restricted-growth candidate
@@ -83,8 +113,6 @@ def generate_then_filter(n: int, k: int, c: int, edges=None):
     complete graph) is built in full, and kept when `canonical_form` leaves
     it unchanged. This is the enumerator as it was before it pruned
     non-canonical prefixes at interior nodes."""
-    from choosability.oracle import canonical_form
-
     pairs = itertools.combinations(range(n), 2) if edges is None else edges
     prev_adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:

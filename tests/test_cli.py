@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, output shapes, and determinism."""
 
+import inspect
 import json
+import sys
+import time
 
 import pytest
 
@@ -184,6 +187,34 @@ def test_exact_cap_refusal_and_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CHOOSABILITY_SEARCH_CAP", "15")
     code, out, _ = run(capsys, "exact", "--n", "5", "--c", "1", "--json")
     assert code == 0 and json.loads(out)["chi_l"] == 3
+
+
+@pytest.mark.parametrize("n", [9, 14])
+def test_exact_beyond_eight_vertices(capsys, n):
+    # c = 0 forces disjoint lists, so the one canonical 1-assignment colors
+    code, out, _ = run(capsys, "exact", "--n", str(n), "--c", "0", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["chi_l"] == 1 and payload["assignments_checked"] == 1
+
+
+def test_exact_huge_n_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "exact", "--n", "1000000", "--c", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "CHOOSABILITY_SEARCH_CAP" in err
+
+
+def test_exact_deeper_than_recursion_limit_exits_2(capsys, monkeypatch):
+    # the oracle recurses once per vertex; a lowered limit makes n = 300 too deep
+    monkeypatch.setenv("CHOOSABILITY_SEARCH_CAP", "1000")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        code, out, err = run(capsys, "exact", "--n", "300", "--c", "0")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2 and out == "" and "recursion depth" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_probe_text_and_json(capsys):

@@ -10,7 +10,6 @@ from choosability.instances import assignment_from_lists
 from choosability.oracle import (
     SearchTooLarge,
     SmallGraph,
-    canonical_form,
     complete_graph,
     conjecture_probe,
     exact_chi_l_complete,
@@ -19,7 +18,7 @@ from choosability.oracle import (
     iter_canonical_assignments,
     list_colorable_graph,
 )
-from conftest import (brute_force_canonical, generate_then_filter,
+from conftest import (brute_force_canonical, canonical_form, generate_then_filter,
                       relabel_by_first_appearance)
 
 
@@ -185,14 +184,31 @@ def test_list_colorable_graph_needs_one_list_per_vertex():
         list_colorable_graph(path3, assignment_from_lists([(0,), (1,), (0,), (0,)], c=1))
 
 
-def test_backtracking_agrees_with_matching_solver_on_k3():
-    graph = complete_graph(3)
-    for k in (1, 2, 3):
-        for c in (0, 1, 2):
-            for assignment in iter_canonical_assignments(3, k, c):
-                inst = assignment_from_lists(assignment, c)
-                assert (list_colorable_graph(graph, inst)
-                        == solver.colorable(inst).colorable)
+def test_backtracking_agrees_with_matching_solver_on_k1_to_k5():
+    """`exact` decides K_n by backtracking and `solve` by matching: the two
+    agree on every canonical assignment with n <= 5, k <= 3, c <= 2."""
+    for n in range(1, 6):
+        graph = complete_graph(n)
+        for k in (1, 2, 3):
+            for c in (0, 1, 2):
+                for assignment in iter_canonical_assignments(n, k, c, cap=15):
+                    inst = assignment_from_lists(assignment, c)
+                    assert (list_colorable_graph(graph, inst)
+                            == solver.colorable(inst).colorable), (n, k, c, assignment)
+
+
+def test_exact_complete_does_not_call_matching_solver(monkeypatch):
+    """The oracle is a second algorithm for `solve`, not a rerun of it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called solver.colorable")
+
+    monkeypatch.setattr(solver, "colorable", refuse)
+    # c = 0 forces disjoint lists; c >= n - 1 admits n identical (n-1)-lists
+    known = {(1, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 2, (2, 2): 2,
+             (3, 0): 1, (3, 1): 2, (3, 2): 3, (3, 3): 3,
+             (4, 0): 1, (4, 1): 2, (4, 2): 3, (4, 3): 4}
+    for (n, c), value in known.items():
+        assert exact_chi_l_complete(n, c, cap=16) == value, (n, c)
 
 
 def test_exact_chi_l_graph_examples():
