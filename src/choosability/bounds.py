@@ -172,8 +172,9 @@ def lower_bound_constructive(n: int, c: int) -> tuple[int, str]:
 def lower_bound_asymptotic(n: int, c: int) -> int:
     """floor(sqrt(c*(n-2)+1) + 1) - ceil(n^(1/3)), floored at 1.
 
-    Sound only for n large enough that the prime search of
-    find_admissible_prime succeeds; callers should gate on that.
+    The formula alone: no hard instance is checked to attain it.
+    bounds_report uses it when find_admissible_prime finds a prime, which
+    may be a prime whose instance does not fit in K_n (ROADMAP item 8).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -181,11 +182,12 @@ def lower_bound_asymptotic(n: int, c: int) -> int:
 
 
 def find_admissible_prime(n: int, c: int) -> int | None:
-    """Largest prime q with c | q-1 in the search window just below
-    sqrt(c*(n-2)+1) + 1, or None when the window contains no such prime.
+    """Largest prime q with c | q-1 in the window [max(2, hi - ceil(n^(1/3))),
+    hi], hi = isqrt(c*(n-2)+1) + 1, or None when the window has no such prime.
 
-    The window has width about n^(1/3); absence is an expected outcome at
-    small n, not an error.
+    The window includes hi itself, whose hard instance needs more than n
+    vertices (ROADMAP item 8). Absence is an expected outcome at small n,
+    not an error.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -237,9 +239,11 @@ class BoundsReport:
 def bounds_report(n: int, c: int) -> BoundsReport:
     """Best lower and upper bounds for (n, c), with exact value when they meet.
 
-    The asymptotic lower bound participates only when its underlying prime
-    search actually succeeds for this n. The lower bound is clamped at n,
-    since n colors always suffice on K_n.
+    The asymptotic lower bound takes part whenever find_admissible_prime
+    finds a prime, including the prime hi whose hard instance does not fit
+    in K_n; every "asymptotic" row for n <= 4000, c <= 5 rests on that
+    prime, so no instance backs it (ROADMAP item 8). The lower bound is
+    clamped at n, since n colors always suffice on K_n.
     """
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")

@@ -8,7 +8,6 @@ Primary output is byte-deterministic for identical flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -22,21 +21,18 @@ EXIT_ERROR = 2
 # `bounds --range` holds every row in memory before it prints
 MAX_RANGE_ROWS = 100_000
 
-
-def _search_cap() -> int:
-    raw = os.environ.get("CHOOSABILITY_SEARCH_CAP")
-    if raw is None:
-        return oracle.DEFAULT_SEARCH_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CHOOSABILITY_SEARCH_CAP must be an integer, got {raw!r}")
+# the `bounds` table's columns, for the header and for every row
+BOUNDS_LAYOUT = "{:>6}  {:>3}  {:>5}  {:<12}  {:>5}  {:<14}  {:>5}  {:>9}  {:>9}"
 
 
 def _capped_search(search, *args):
     """Run an oracle search under the cap from CHOOSABILITY_SEARCH_CAP; a
     refusal for exceeding that cap names the variable that raises it."""
-    cap = _search_cap()
+    raw = os.environ.get("CHOOSABILITY_SEARCH_CAP", str(oracle.DEFAULT_SEARCH_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"CHOOSABILITY_SEARCH_CAP must be an integer, got {raw!r}")
     try:
         return search(*args, cap=cap)
     except oracle.SearchTooLarge as exc:
@@ -102,39 +98,21 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _bounds_row(n: int, c: int) -> dict:
-    report = bounds_mod.bounds_report(n, c)
-    ktv_lo, ktv_hi = bounds_mod.ktv_reference_bounds(n, c)
-    return {
-        "n": report.n,
-        "c": report.c,
-        "lower": report.lower,
-        "lower_provenance": report.lower_provenance,
-        "upper": report.upper,
-        "upper_provenance": report.upper_provenance,
-        "exact": report.exact,
-        "ktv": [ktv_lo, ktv_hi],
-    }
-
-
 def cmd_bounds(args) -> int:
     lo, hi = _parse_range(args.range) if args.range is not None else (args.n, args.n)
-    rows = [_bounds_row(n, args.c) for n in range(lo, hi + 1)]
+    # each row is the BoundsReport's fields, in declaration order, plus "ktv"
+    rows = [vars(bounds_mod.bounds_report(n, args.c))
+            | {"ktv": bounds_mod.ktv_reference_bounds(n, args.c)}
+            for n in range(lo, hi + 1)]
     if args.json:
-        sys.stdout.write(json.dumps(rows, separators=(",", ":")) + "\n")
+        sys.stdout.write(formats.json_line(rows))
         return EXIT_OK
-    header = (f"{'n':>6}  {'c':>3}  {'lower':>5}  {'provenance':<12}  "
-              f"{'upper':>5}  {'provenance':<14}  {'exact':>5}  "
-              f"{'ktv-low':>9}  {'ktv-high':>9}")
-    lines = [header]
+    lines = [BOUNDS_LAYOUT.format("n", "c", "lower", "provenance", "upper", "provenance",
+                                  "exact", "ktv-low", "ktv-high")]
     for row in rows:
-        exact = str(row["exact"]) if row["exact"] is not None else "-"
-        lines.append(
-            f"{row['n']:>6}  {row['c']:>3}  {row['lower']:>5}  "
-            f"{row['lower_provenance']:<12}  {row['upper']:>5}  "
-            f"{row['upper_provenance']:<14}  {exact:>5}  "
-            f"{row['ktv'][0]:>9.3f}  {row['ktv'][1]:>9.3f}"
-        )
+        *fields, exact, (ktv_lo, ktv_hi) = row.values()
+        lines.append(BOUNDS_LAYOUT.format(*fields, "-" if exact is None else exact,
+                                          f"{ktv_lo:.3f}", f"{ktv_hi:.3f}"))
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -143,22 +121,13 @@ def cmd_bounds(args) -> int:
 
 def cmd_exact(args) -> int:
     result = _capped_search(oracle.chi_l_complete_search, args.n, args.c)
-    defeated = ([list(lst) for lst in result.defeated_by]
-                if result.defeated_by is not None else None)
     if args.json:
-        payload = {
-            "n": result.n,
-            "c": result.c,
-            "chi_l": result.chi_l,
-            "defeated_by": defeated,
-            "assignments_checked": result.assignments_checked,
-        }
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        sys.stdout.write(formats.json_line(vars(result)))
     else:
         sys.stdout.write(f"chi_l(K_{result.n}, c={result.c}) = {result.chi_l}\n")
         sys.stdout.write(f"assignments checked: {result.assignments_checked}\n")
-        if defeated is not None:
-            shown = " ".join(str(lst) for lst in defeated)
+        if result.defeated_by is not None:
+            shown = " ".join(str(list(lst)) for lst in result.defeated_by)
             sys.stdout.write(f"list size {result.chi_l - 1} defeated by: {shown}\n")
     return EXIT_OK
 
@@ -168,23 +137,13 @@ def cmd_exact(args) -> int:
 def cmd_probe(args) -> int:
     report = _capped_search(oracle.conjecture_probe, args.nmax, args.c)
     if args.json:
-        counterexample = None
+        # the ProbeReport's fields; its SmallGraph is written as {n, edges, assignment}
+        payload = vars(report)
         if report.counterexample is not None:
             graph, assignment = report.counterexample
-            counterexample = {
-                "n": graph.n,
-                "edges": [list(edge) for edge in graph.edges],
-                "assignment": [list(lst) for lst in assignment],
-            }
-        payload = {
-            "n_max": report.n_max,
-            "c": report.c,
-            "complete_values": {str(n): k for n, k in sorted(report.complete_values.items())},
-            "counterexample": counterexample,
-            "graphs_checked": report.graphs_checked,
-            "assignments_checked": report.assignments_checked,
-        }
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+            payload = payload | {"counterexample": {"n": graph.n, "edges": graph.edges,
+                                                    "assignment": assignment}}
+        sys.stdout.write(formats.json_line(payload))
         return EXIT_OK
     if report.counterexample is None:
         sys.stdout.write(
@@ -217,14 +176,7 @@ def cmd_verify(args) -> int:
         certificate = formats.loads_certificate(_read(args.certificate))
         cert_ok, cert_note = solver.check_certificate(assignment, certificate)
     if args.json:
-        payload = {
-            "valid": report.valid,
-            "bad_vertex": report.bad_vertex,
-            "bad_pair": list(report.bad_pair) if report.bad_pair else None,
-            "overlap": report.overlap,
-            "certificate_consistent": cert_ok,
-        }
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        sys.stdout.write(formats.json_line(vars(report) | {"certificate_consistent": cert_ok}))
     else:
         if report.valid:
             sys.stdout.write(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 from .instances import ListAssignment
 from .solver import ColorabilityResult
@@ -19,6 +18,12 @@ INSTANCE_FORMAT_VERSION = 1
 
 class FormatError(ValueError):
     """An instance or certificate file violates the documented schema."""
+
+
+def json_line(value) -> str:
+    """`value` as one line of compact JSON: the form of every JSON file and
+    every `--json` output."""
+    return json.dumps(value, separators=(",", ":")) + "\n"
 
 
 # -- instances -----------------------------------------------------------------
@@ -33,7 +38,7 @@ def dumps_instance(assignment: ListAssignment) -> str:
         "lists": [list(lst) for lst in assignment.lists],
         "meta": assignment.meta if assignment.meta is not None else {},
     }
-    return json.dumps(out, separators=(",", ":")) + "\n"
+    return json_line(out)
 
 
 def _parse_json(text: str):
@@ -109,7 +114,7 @@ def dumps_certificate(result: ColorabilityResult) -> str:
             "violator_S": list(violator_s),
             "neighborhood": list(neighborhood),
         }
-    return json.dumps(out, separators=(",", ":")) + "\n"
+    return json_line(out)
 
 
 def loads_certificate(text: str) -> ColorabilityResult:
@@ -135,9 +140,11 @@ def loads_certificate(text: str) -> ColorabilityResult:
 
 def write_atomic(path: str, text: str) -> None:
     """Write via a temp file in the target directory plus rename, so a
-    failed run never leaves a partial output file."""
+    failed run never leaves a partial output file. The file is created with
+    mode 0o666 less the umask, as `open` would create it."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -2,6 +2,8 @@
 
 import inspect
 import json
+import os
+import stat
 import sys
 import time
 
@@ -55,6 +57,20 @@ def test_construct_is_deterministic(tmp_path, capsys):
     assert run(capsys, "construct", "--q", "7", "--c", "2", "--out", str(a))[0] == 0
     assert run(capsys, "construct", "--q", "7", "--c", "2", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_out_files_take_mode_from_umask(tmp_path, capsys):
+    inst_path, cert_path = tmp_path / "inst.json", tmp_path / "cert.json"
+    umask = os.umask(0o022)
+    try:
+        assert run(capsys, "construct", "--q", "3", "--c", "1", "--out", str(inst_path))[0] == 0
+        assert run(capsys, "solve", str(inst_path), "--out", str(cert_path))[0] == 1
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(inst_path.stat().st_mode) == 0o644
+    assert stat.S_IMODE(cert_path.stat().st_mode) == 0o644
+    # no temporary file is left beside the outputs
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.json", "inst.json"]
 
 
 # -- solve ----------------------------------------------------------------------

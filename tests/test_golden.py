@@ -1,4 +1,4 @@
-"""Byte-level regression guards for `construct` and `bounds`.
+"""Byte-level regression guards for the output of every CLI command.
 
 The sha256 digests of `dumps_instance(hard_instance(q, c))` below, which are
 exactly the bytes `choosability construct --q Q --c C` writes, were taken
@@ -29,16 +29,27 @@ each of those instances with its last vertex dropped (exit 0, a coloring),
 taken from the implementation before the Hall violator was read off the
 matching's final search instead of a second one (commit bb1b448). They pin
 the matching and every certificate derived from it.
+
+The `verify` digests (text and `--json`, for the (5, 2) hard instance with
+its certificate, with `lists[1] = lists[0]`, and with one vertex dropped
+from the certificate's `violator_S`), the text digests of `exact`, `probe`
+and `bounds`, and the `probe` digests of a counterexample report (which no
+input within the search cap reaches, so `conjecture_probe` is replaced by a
+stub) were taken from the implementation before the CLI built its `--json`
+objects from the fields of the library's reports (commit 087e8a8).
 """
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
+from choosability import oracle
 from choosability.cli import main
 from choosability.construction import hard_instance
-from choosability.formats import dumps_instance
+from choosability.formats import dumps_certificate, dumps_instance
+from choosability.solver import colorable
 
 GOLDEN_INSTANCE_SHA256 = {
     (3, 1): "8f1a5fd2541aad3e218b0314ddcd70ee984bc46da6fcdfec56a3fa1a4f23de5e",
@@ -244,3 +255,67 @@ def test_solve_bytes_match_golden_digest(tmp_path, capsys, q, c, drop_last):
     assert main(["solve", str(path)]) == (0 if drop_last else 1)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN_SOLVE_SHA256[(q, c, drop_last)]
+
+
+GOLDEN_VERIFY_SHA256 = {
+    ("certified", False): "6e8a5aeb97bf33567c56b4164fac1e2d456cdcc5a9e88b427c2161b005094d73",
+    ("certified", True): "be2cdc27fad5e73a32b7e0d34836ce0db9317a5f3b5862431ee6fcfb08e69f67",
+    ("duplicated-list", False): "ec25c8f4c85287a8826168ba1741a5ed7447d5495193f263b42b5acfa64a7552",
+    ("duplicated-list", True): "98136dfde430d8f6dea981f3a9689b600ae8b838dbe6426f65f7552f32a9afea",
+    ("tampered-certificate", False): "ea97aafa71e886f7130ca8983ea7794475641a2c728ca05bf3993335c5d0a9c4",
+    ("tampered-certificate", True): "91f6040d8081816afecee480783936bec320a1d3422222942a868eb4103d9e69",
+}
+
+
+def _verify_files(tmp_path, case):
+    """Write the (5, 2) hard instance and its certificate, altered per case."""
+    inst = hard_instance(5, 2)
+    cert = json.loads(dumps_certificate(colorable(inst)))
+    if case == "duplicated-list":
+        inst = dataclasses.replace(inst, lists=(inst.lists[0],) + inst.lists[:1] + inst.lists[2:])
+    elif case == "tampered-certificate":
+        cert["violator_S"] = cert["violator_S"][:-1]
+    inst_path, cert_path = tmp_path / "inst.json", tmp_path / "cert.json"
+    inst_path.write_text(dumps_instance(inst))
+    cert_path.write_text(json.dumps(cert))
+    return str(inst_path), str(cert_path)
+
+
+@pytest.mark.parametrize("case, as_json", sorted(GOLDEN_VERIFY_SHA256))
+def test_verify_bytes_match_golden_digest(tmp_path, capsys, case, as_json):
+    argv = ["verify", *_verify_files(tmp_path, case)] + (["--json"] if as_json else [])
+    capsys.readouterr()
+    assert main(argv) == (0 if case == "certified" else 2)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_VERIFY_SHA256[(case, as_json)]
+
+
+GOLDEN_TEXT_SHA256 = {
+    "exact --n 4 --c 1": "70835841802c5234c7e2de5c86a57e89542846101868e020fe53853325b041af",
+    "probe --nmax 4 --c 1": "91ac141b156e9b30010180eceede1af5f4f07dfb1b21bf1fca3fcddf0689e61e",
+    "bounds --range 1..300 --c 2": "eb8a5fe8e9e734b4e73bdf095f8db99cfa512708fcb510210ee98a0ea11552ae",
+    "bounds --n 14 --c 2": "8b701e925f4a267d611339eed994dc2d7019de50bf0dac9c89cb728663894e77",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_TEXT_SHA256))
+def test_text_bytes_match_golden_digest(capsys, monkeypatch, command):
+    monkeypatch.setenv("CHOOSABILITY_SEARCH_CAP", "15")
+    assert _stdout_sha256(capsys, command.split()) == GOLDEN_TEXT_SHA256[command]
+
+
+GOLDEN_PROBE_COUNTEREXAMPLE_SHA256 = {
+    False: "ef5c0deca70b88ba2c9eccd782d541eb2309abb22c1942b7f58106802094acde",
+    True: "854aa224f3ad8d3b7653afd21da4f5bbeeac90bde81800ef25409bf40d79188c",
+}
+
+
+@pytest.mark.parametrize("as_json", sorted(GOLDEN_PROBE_COUNTEREXAMPLE_SHA256))
+def test_probe_counterexample_bytes_match_golden_digest(capsys, monkeypatch, as_json):
+    report = oracle.ProbeReport(
+        n_max=3, c=1, complete_values={1: 1, 2: 2, 3: 2},
+        counterexample=(oracle.SmallGraph(3, ((0, 1), (1, 2))), ((0, 1), (0, 2), (1, 2))),
+        graphs_checked=12, assignments_checked=345)
+    monkeypatch.setattr(oracle, "conjecture_probe", lambda n_max, c, cap: report)
+    argv = ["probe", "--nmax", "3", "--c", "1"] + (["--json"] if as_json else [])
+    assert _stdout_sha256(capsys, argv) == GOLDEN_PROBE_COUNTEREXAMPLE_SHA256[as_json]
