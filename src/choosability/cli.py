@@ -183,11 +183,6 @@ def cmd_verify(args) -> int:
                 f"valid ({assignment.k},{assignment.c})-assignment: "
                 f"n={assignment.n} num_colors={assignment.num_colors}\n"
             )
-        elif report.bad_vertex is not None:
-            sys.stdout.write(
-                f"invalid: lists[{report.bad_vertex}] has size "
-                f"{len(assignment.lists[report.bad_vertex])}, expected {assignment.k}\n"
-            )
         else:
             u, v = report.bad_pair
             sys.stdout.write(
@@ -264,8 +259,7 @@ def main(argv=None) -> int:
         return args.func(args)
     # every refusal in the package (bad input, inadmissible (q, c), a search
     # or instance over its cap, is_prime's range) is a ValueError subclass;
-    # the oracle recurses once per vertex, so a deep search can exhaust the
-    # interpreter's recursion limit
+    # deeply nested JSON can exhaust the interpreter's recursion limit
     except (ValueError, OverflowError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

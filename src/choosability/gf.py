@@ -132,12 +132,6 @@ class FiniteField:
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("FiniteField", self.q))
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -170,7 +164,7 @@ class FiniteField:
     def pow(self, x: int, e: int) -> int:
         self._check(x)
         if e < 0:
-            return self.pow(self.inv(x), -e)
+            x, e = self.inv(x), -e
         if x == 0:
             return 1 if e == 0 else 0
         return self._exp[self._log[x] * e % (self.q - 1)]

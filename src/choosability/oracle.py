@@ -89,17 +89,25 @@ def _generate(n, k, c, prev_adj):
     # when cols is non-increasing. Later vertices set only lower bits, so
     # once cols[x-1] < cols[x] the prefix can never become canonical: a list
     # holding x but not x-1 is pruned when that would happen. The prune also
-    # forces restricted growth (fresh colors are taken in order).
+    # forces restricted growth, so the colors in use are the nonempty columns,
+    # cols.index(0) of them (one column is spare). frames[v] is vertex v's
+    # combination iterator; frame n marks a completed assignment.
     lists: list[tuple[int, ...]] = []
     masks: list[int] = []
-    cols = [0] * (n * k)
-
-    def extend(v: int, used: int):
+    cols = [0] * (n * k + 1)
+    frames = [itertools.combinations(range(k), k)]
+    while frames:
+        v = len(frames) - 1
         if v == n:
             yield tuple(lists)
-            return
+            frames.pop()
+            continue
         bit = 1 << (n - 1 - v)
-        for combo in itertools.combinations(range(used + k), k):
+        if len(lists) > v:  # back at frame v: take back its previous list
+            for x in lists.pop():
+                cols[x] ^= bit
+            masks.pop()
+        for combo in frames[v]:
             if any(cols[x - 1] < cols[x] | bit for x in combo if x and x - 1 not in combo):
                 continue
             mask = 0
@@ -111,13 +119,10 @@ def _generate(n, k, c, prev_adj):
                 cols[x] |= bit
             lists.append(combo)
             masks.append(mask)
-            yield from extend(v + 1, max(used, combo[-1] + 1) if combo else used)
-            for x in combo:
-                cols[x] ^= bit
-            lists.pop()
-            masks.pop()
-
-    yield from extend(0, 0)
+            frames.append(itertools.combinations(range(cols.index(0) + k), k))
+            break
+        else:
+            frames.pop()
 
 
 @dataclass(frozen=True)
@@ -189,18 +194,25 @@ def _colorer(n: int, edges):
     steps = [(v, [u for u in order[:i] if u in adj[v]]) for i, v in enumerate(order)]
     chosen = [-1] * n
 
-    def extend(lists, i: int) -> bool:
-        if i == len(steps):
-            return True
-        v, placed = steps[i]
-        for color in lists[v]:
-            if all(chosen[u] != color for u in placed):
-                chosen[v] = color
-                if extend(lists, i + 1):
-                    return True
-        return False
+    def colorable(lists) -> bool:
+        # frames[i] iterates the colors that step i has not tried yet
+        frames = [iter(lists[steps[0][0]])] if steps else []
+        while frames:
+            i = len(frames) - 1
+            v, placed = steps[i]
+            for color in frames[i]:
+                if all(chosen[u] != color for u in placed):
+                    chosen[v] = color
+                    break
+            else:
+                frames.pop()
+                continue
+            if i + 1 == len(steps):
+                return True
+            frames.append(iter(lists[steps[i + 1][0]]))
+        return not steps
 
-    return lambda lists: extend(lists, 0)
+    return colorable
 
 
 def list_colorable_graph(graph: SmallGraph, assignment: ListAssignment) -> bool:

@@ -220,8 +220,9 @@ def test_exact_huge_n_refused_at_once(capsys):
     assert code == 2 and out == "" and "CHOOSABILITY_SEARCH_CAP" in err
 
 
-def test_exact_deeper_than_recursion_limit_exits_2(capsys, monkeypatch):
-    # the oracle recurses once per vertex; a lowered limit makes n = 300 too deep
+def test_exact_deeper_than_recursion_limit_answers(capsys, monkeypatch):
+    # the oracle searches on explicit frames, so a lowered recursion limit
+    # leaves a 300-vertex search bounded only by the cap
     monkeypatch.setenv("CHOOSABILITY_SEARCH_CAP", "1000")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
@@ -229,8 +230,8 @@ def test_exact_deeper_than_recursion_limit_exits_2(capsys, monkeypatch):
         code, out, err = run(capsys, "exact", "--n", "300", "--c", "0")
     finally:
         sys.setrecursionlimit(limit)
-    assert code == 2 and out == "" and "recursion depth" in err
-    assert len(err.splitlines()) == 1
+    assert code == 0 and err == ""
+    assert out == "chi_l(K_300, c=0) = 1\nassignments checked: 1\n"
 
 
 def test_probe_text_and_json(capsys):
@@ -270,6 +271,19 @@ def test_verify_overlap_violation_reports_pair(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(inst_path))
     assert code == 2
     assert "lists[0] and lists[1] overlap in 3 > 2" in out
+
+
+def test_verify_short_list_is_refused_by_the_loader(tmp_path, capsys):
+    # the loader refuses a list of the wrong size before validity is checked
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "format_version": 1, "n": 2, "c": 1, "k": 2, "num_colors": 3,
+        "lists": [[0, 1], [2]], "meta": {},
+    }))
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "verify", str(inst_path), *flags)
+        assert code == 2 and out == ""
+        assert err == "error: lists[1] has 1 colors, expected k=2\n"
 
 
 def test_verify_rejects_tampered_certificate(tmp_path, capsys):

@@ -245,6 +245,16 @@ def test_pow_matches_repeated_multiplication():
             assert field.pow(x, e) == acc
 
 
+def test_pow_negative_exponent_is_power_of_inverse():
+    for q in (5, 8, 9, 16):
+        field = FiniteField(q)
+        for x in range(1, q):
+            for e in range(1, 2 * q):
+                assert field.pow(x, -e) == field.inv(field.pow(x, e)), (q, x, e)
+        with pytest.raises(ZeroDivisionError):
+            field.pow(0, -1)
+
+
 # -- multiplicative orders -------------------------------------------------------
 
 def test_element_order_gf5():

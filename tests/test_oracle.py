@@ -30,6 +30,15 @@ def test_enumerate_two_vertices_singletons():
     assert list(iter_canonical_assignments(2, 1, 0)) == [((0,), (1,))]
 
 
+def test_enumerate_no_vertices_or_empty_lists():
+    # n = 0 has one assignment, the empty one; k = 0 gives every vertex
+    # the empty list, under any cap on overlaps
+    assert list(iter_canonical_assignments(0, 2, 1)) == [()]
+    assert list(iter_canonical_assignments(0, 0, 0)) == [()]
+    assert list(iter_canonical_assignments(3, 0, 0)) == [((), (), ())]
+    assert list(iter_canonical_assignments(3, 0, 0, edges=[(0, 1)])) == [((), (), ())]
+
+
 def _reference_count(n, k, c):
     """Unpruned filter-based reference: generate every n-tuple of sorted
     k-subsets of the full color budget, keep the valid ones that are the
@@ -195,6 +204,25 @@ def test_backtracking_agrees_with_matching_solver_on_k1_to_k5():
                     inst = assignment_from_lists(assignment, c)
                     assert (list_colorable_graph(graph, inst)
                             == solver.colorable(inst).colorable), (n, k, c, assignment)
+
+
+def _product_colorable(graph, lists):
+    """Plain search over every choice of one color per list."""
+    return any(all(coloring[u] != coloring[v] for u, v in graph.edges)
+               for coloring in itertools.product(*lists))
+
+
+def test_backtracking_agrees_with_product_search_on_small_graphs():
+    """On every labeled graph with n <= 4, the colorer agrees with a plain
+    product search on every canonical assignment with k <= 2, c <= k."""
+    for n in range(1, 5):
+        for graph in _all_labeled_graphs(n):
+            for k in (1, 2):
+                for c in range(k + 1):
+                    for assignment in iter_canonical_assignments(n, k, c, edges=graph.edges):
+                        inst = assignment_from_lists(assignment, c)
+                        assert (list_colorable_graph(graph, inst)
+                                == _product_colorable(graph, assignment)), (graph, assignment)
 
 
 def test_exact_complete_does_not_call_matching_solver(monkeypatch):

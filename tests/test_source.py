@@ -1,0 +1,33 @@
+"""Properties of the package source itself."""
+
+import ast
+import pathlib
+
+SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "choosability").glob("*.py"))
+
+
+def _self_calls(tree):
+    """Every call by which a function, nested ones included, calls its own
+    name as `f(...)` or `self.f(...)`, as "f (line N)"."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if ((isinstance(callee, ast.Name) and callee.id == func.name)
+                    or (isinstance(callee, ast.Attribute) and callee.attr == func.name
+                        and isinstance(callee.value, ast.Name) and callee.value.id == "self")):
+                found.append(f"{func.name} (line {node.lineno})")
+    return found
+
+
+def test_no_function_calls_itself():
+    """Searches run on explicit stacks, so no depth of input can exhaust
+    the interpreter's recursion limit."""
+    assert SOURCES
+    calls = {path.name: _self_calls(ast.parse(path.read_text(), filename=str(path)))
+             for path in SOURCES}
+    assert {name: found for name, found in calls.items() if found} == {}
