@@ -27,7 +27,6 @@ from .bounds import (
 from .construction import (
     ClassSpace,
     DesignReport,
-    Hypergraph,
     ZeroPair,
     augmented_hypergraph,
     furedi_hypergraph,

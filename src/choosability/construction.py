@@ -14,7 +14,7 @@ n - 1 colors in total and is therefore not properly colorable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .bounds import check_admissible
@@ -34,14 +34,6 @@ class ZeroPair(ValueError):
 
 class InstanceTooLarge(ValueError):
     """The instance for (q, c) would hold more than MAX_LIST_ENTRIES list entries."""
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    """Edge list over vertex ids [0, n_vertices)."""
-
-    n_vertices: int
-    edges: tuple[tuple[int, ...], ...]
 
 
 class ClassSpace:
@@ -78,9 +70,6 @@ class ClassSpace:
             reps.append((a, b))
         self._class_id = class_id
         self.reps = tuple(reps)
-
-    def classes(self) -> tuple[tuple[int, int], ...]:
-        return self.reps
 
     def class_of(self, a: int, b: int) -> int:
         q = self.field.q
@@ -137,16 +126,18 @@ def _space(q: int, c: int) -> ClassSpace:
 
 
 # -- hypergraphs and the hard instance ---------------------------------------
+# a hypergraph is a ListAssignment: edge i is list i, and its vertices are
+# the colors [0, num_colors), so the hard instance reads its edges as lists
 
-def furedi_hypergraph(q: int, c: int) -> Hypergraph:
+def furedi_hypergraph(q: int, c: int) -> ListAssignment:
     """The q-uniform hypergraph on class ids whose edge i is the incidence
     list of class i: (q^2-1)/c vertices and edges, intersections <= c."""
     space = _space(q, c)
     edges = tuple(space.list_of_class(i) for i in range(len(space.reps)))
-    return Hypergraph(n_vertices=len(edges), edges=edges)
+    return ListAssignment(n=len(edges), k=q, c=c, num_colors=len(edges), lists=edges)
 
 
-def augmented_hypergraph(q: int, c: int) -> Hypergraph:
+def augmented_hypergraph(q: int, c: int) -> ListAssignment:
     """The hypergraph above plus one fresh vertex and two bundle edges.
 
     Each bundle is the fresh vertex together with c origin lines of
@@ -157,37 +148,36 @@ def augmented_hypergraph(q: int, c: int) -> Hypergraph:
     check_admissible(q, c)
     base = furedi_hypergraph(q, c)
     space = _space(q, c)
-    fresh = base.n_vertices
+    fresh = base.num_colors
     bundles = []
     for start in (0, c):
         members = {fresh}
         for slope in range(start, start + c):
             members.update(space.origin_line(slope))
         bundles.append(tuple(sorted(members)))
-    return Hypergraph(n_vertices=fresh + 1, edges=base.edges + tuple(bundles))
+    edges = base.lists + tuple(bundles)
+    return ListAssignment(n=len(edges), k=q, c=c, num_colors=fresh + 1, lists=edges)
 
 
 def hard_instance(q: int, c: int) -> ListAssignment:
     """A (q,c)-valid list assignment on K_n, n = (q^2-1)/c + 2, with only
     n-1 colors in total, hence not properly colorable.
 
-    Vertex i of K_n receives edge i of the augmented hypergraph: the class
-    edges in id order, then the two bundles. Colors are the hypergraph's
-    vertex ids.
+    It is the augmented hypergraph (vertex i of K_n receives edge i: the
+    class edges in id order, then the two bundles) with the field it was
+    built over recorded in `meta`.
     """
-    hypergraph = augmented_hypergraph(q, c)
+    # the augmented hypergraph checks admissibility before the field is built
+    design = augmented_hypergraph(q, c)
     fld = _space(q, c).field
-    meta = {
+    return replace(design, meta={
         "q": q,
         "c": c,
         "p": fld.p,
         "m": fld.m,
         "modulus": list(fld.modulus) if fld.modulus is not None else None,
         "construction": "furedi-augmented",
-    }
-    return ListAssignment(n=len(hypergraph.edges), k=q, c=c,
-                          num_colors=hypergraph.n_vertices,
-                          lists=hypergraph.edges, meta=meta)
+    })
 
 
 # -- design verification -------------------------------------------------------
@@ -205,29 +195,26 @@ class DesignReport:
     violations: list[str] = field(default_factory=list)
 
 
-def verify_design(hypergraph: Hypergraph, q: int, c: int) -> DesignReport:
-    """Check q-uniformity and the pairwise intersection cap c, and report
+def verify_design(design: ListAssignment, q: int, c: int) -> DesignReport:
+    """Check q-uniformity and the pairwise intersection cap c of the edges
+    `design.lists` over the vertices [0, design.num_colors), and report
     counts, the observed intersection sizes, and the vertex degree
     histogram. Violations carry a concrete witness (edge or edge pair)."""
     violations = []
-    degrees = [0] * hypergraph.n_vertices
-    masks = []
-    for i, edge in enumerate(hypergraph.edges):
+    degrees = [0] * design.num_colors
+    for i, edge in enumerate(design.lists):
         if len(set(edge)) != len(edge):
             violations.append(f"edge {i} repeats a vertex: {edge}")
         if len(edge) != q:
             violations.append(f"edge {i} has size {len(edge)}, expected {q}")
-        mask = 0
         for v in edge:
-            if not 0 <= v < hypergraph.n_vertices:
+            if not 0 <= v < design.num_colors:
                 violations.append(f"edge {i} references vertex {v} out of range")
             else:
                 degrees[v] += 1
-                mask |= 1 << v
-        masks.append(mask)
 
     sizes = set()
-    for i, row in overlap_rows(masks):
+    for i, row in overlap_rows(design.lists):
         sizes.update(row)
         if max(row, default=0) > c:
             violations.extend(f"edges {i} and {j} intersect in {size} > {c} vertices"
@@ -238,8 +225,8 @@ def verify_design(hypergraph: Hypergraph, q: int, c: int) -> DesignReport:
         histogram[d] = histogram.get(d, 0) + 1
     return DesignReport(
         ok=not violations,
-        n_vertices=hypergraph.n_vertices,
-        n_edges=len(hypergraph.edges),
+        n_vertices=design.num_colors,
+        n_edges=len(design.lists),
         max_intersection=max(sizes, default=0),
         intersection_sizes=tuple(sorted(sizes)),
         degree_histogram=dict(sorted(histogram.items())),

@@ -260,8 +260,8 @@ def conjecture_probe(n_max: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> Pr
     complete graph on the same vertices; the report carries the witnessing
     assignment. Labeled-graph enumeration caps n_max at 5.
     """
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
+    if n_max < 1 or c < 0:
+        raise ValueError(f"need n_max >= 1 and c >= 0, got n_max={n_max}, c={c}")
     if n_max > 5:
         raise SearchTooLarge(f"probe enumerates all labeled graphs; n_max <= 5, got {n_max}")
     complete_values: dict[int, int] = {}

@@ -51,12 +51,11 @@ class ValidityReport:
 def _hopcroft_karp(lists):
     """Maximum matching of vertices to listed colors in O(E * sqrt(V)); deterministic.
 
-    Returns (match_l, match_r, dist): match_l[v] is v's color or -1, and
-    match_r maps each matched color to its vertex. The last breadth-first
-    search found no free color, so its dist[v] >= 0 exactly for the
-    vertices that alternating paths reach from unmatched ones. Vertices and
-    colors are scanned in list order, so the matching (and every
-    certificate derived from it) is reproducible.
+    Returns (match_l, dist): match_l[v] is v's color or -1. The last
+    breadth-first search found no free color, so its dist[v] >= 0 exactly
+    for the vertices that alternating paths reach from unmatched ones.
+    Vertices and colors are scanned in list order, so the matching (and
+    every certificate derived from it) is reproducible.
     """
     n = len(lists)
     match_l = [-1] * n
@@ -113,7 +112,7 @@ def _hopcroft_karp(lists):
         for v in range(n):
             if match_l[v] == -1:
                 dfs(v)
-    return match_l, match_r, dist
+    return match_l, dist
 
 
 def colorable(assignment: ListAssignment) -> ColorabilityResult:
@@ -131,7 +130,7 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
                 raise ColorOutOfRange(
                     f"vertex {v} lists color {color}, universe is [0, {assignment.num_colors})"
                 )
-    match_l, _, dist = _hopcroft_karp(lists)
+    match_l, dist = _hopcroft_karp(lists)
     if -1 not in match_l:
         return ColorabilityResult(coloring=tuple(match_l))
 
@@ -142,9 +141,21 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
     return ColorabilityResult(violator=(violator_s, neighbors))
 
 
-def overlap_rows(masks):
-    """Yield (u, row) for each bitmask u, where row[j] counts the bits that
-    masks u and u + 1 + j share: every pair once, in index order."""
+def overlap_rows(lists):
+    """Yield (u, row) for each list u, where row[j] counts the entries that
+    lists u and u + 1 + j share: every pair once, in index order.
+
+    Each list becomes a bitmask whose bits rank entries by first appearance,
+    so masks grow with the entries in use, not the largest id, and any int
+    ids work; relabeling leaves every overlap size unchanged.
+    """
+    rank: dict[int, int] = {}
+    masks = []
+    for lst in lists:
+        mask = 0
+        for entry in lst:
+            mask |= 1 << rank.setdefault(entry, len(rank))
+        masks.append(mask)
     for u, mask in enumerate(masks):
         yield u, [(mask & other).bit_count() for other in masks[u + 1:]]
 
@@ -158,12 +169,7 @@ def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityR
     for v, lst in enumerate(assignment.lists):
         if len(lst) != k:
             return ValidityReport(valid=False, bad_vertex=v)
-    # bits rank colors by first appearance, so masks grow with the colors in
-    # use, not the largest id; relabeling leaves every overlap size unchanged
-    rank: dict[int, int] = {}
-    masks = [_mask(rank.setdefault(color, len(rank)) for color in lst)
-             for lst in assignment.lists]
-    for u, row in overlap_rows(masks):
+    for u, row in overlap_rows(assignment.lists):
         if max(row, default=0) > c:
             j, overlap = next((j, size) for j, size in enumerate(row) if size > c)
             return ValidityReport(valid=False, bad_pair=(u, u + 1 + j), overlap=overlap)
@@ -202,10 +208,3 @@ def check_certificate(assignment: ListAssignment,
     if len(actual) >= len(violator_s):
         return False, "claimed violator does not violate Hall's condition"
     return True, "violator recount confirms |N(S)| < |S|"
-
-
-def _mask(colors) -> int:
-    mask = 0
-    for color in colors:
-        mask |= 1 << color
-    return mask

@@ -45,7 +45,7 @@ def test_criterion_1_design_verification():
         hypergraph = furedi_hypergraph(q, c)
         report = verify_design(hypergraph, q, c)
         expected = (q * q - 1) // c
-        edge_sets = [set(edge) for edge in hypergraph.edges]
+        edge_sets = [set(edge) for edge in hypergraph.lists]
         symmetric = all(u in edge_sets[v]
                         for u in range(expected) for v in edge_sets[u])
         elapsed = time.perf_counter() - start

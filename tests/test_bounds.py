@@ -127,7 +127,7 @@ def test_johnson_bound_consistent_with_constructions():
 
     for q, c in [(3, 1), (5, 2), (7, 3), (9, 4), (16, 5), (8, 1)]:
         hypergraph = furedi_hypergraph(q, c)
-        m = hypergraph.n_vertices
+        m = hypergraph.num_colors
         assert m >= math.ceil(johnson_bound(m, q, c))
 
 

@@ -250,6 +250,23 @@ def test_probe_over_cap_exits_2(capsys):
     assert "CHOOSABILITY_SEARCH_CAP" not in err
 
 
+@pytest.mark.parametrize("argv, cap, reason", [
+    (["bounds", "--n", "0", "--c", "1"], None, "got n=0, c=1"),
+    (["bounds", "--n", "5", "--c", "0"], None, "got n=5, c=0"),
+    (["exact", "--n", "0", "--c", "1"], None, "got n=0, c=1"),
+    (["exact", "--n", "3", "--c", "-1"], None, "got n=3, c=-1"),
+    (["probe", "--nmax", "0", "--c", "1"], None, "got n_max=0, c=1"),
+    (["probe", "--nmax", "3", "--c", "-1"], None, "got n_max=3, c=-1"),
+    (["exact", "--n", "3", "--c", "1"], "abc", "CHOOSABILITY_SEARCH_CAP must be an integer"),
+])
+def test_out_of_range_arguments_exit_2(capsys, monkeypatch, argv, cap, reason):
+    if cap is not None:
+        monkeypatch.setenv("CHOOSABILITY_SEARCH_CAP", cap)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+
+
 # -- verify ------------------------------------------------------------------------------
 
 def test_verify_valid_instance_and_certificate(tmp_path, capsys):

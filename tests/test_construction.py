@@ -1,12 +1,13 @@
 """Equivalence classes, incidence lists, hypergraphs, and hard instances."""
 
+from dataclasses import replace
+
 import pytest
 
 from choosability import solver
 from choosability.bounds import AdmissibilityViolated
 from choosability.construction import (
     ClassSpace,
-    Hypergraph,
     ZeroPair,
     augmented_hypergraph,
     furedi_hypergraph,
@@ -22,9 +23,9 @@ ADMISSIBLE_16 = [(q, c) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16)
 # -- classes -------------------------------------------------------------------
 
 def test_class_counts():
-    assert len(ClassSpace(FiniteField(5), 2).classes()) == 12  # (25 - 1) / 2
-    assert len(ClassSpace(FiniteField(7), 3).classes()) == 16  # (49 - 1) / 3
-    eight = ClassSpace(FiniteField(3), 1).classes()
+    assert len(ClassSpace(FiniteField(5), 2).reps) == 12  # (25 - 1) / 2
+    assert len(ClassSpace(FiniteField(7), 3).reps) == 16  # (49 - 1) / 3
+    eight = ClassSpace(FiniteField(3), 1).reps
     assert len(eight) == 8
     # with the trivial subgroup every nonzero pair is its own class
     assert list(eight) == [
@@ -34,7 +35,7 @@ def test_class_counts():
 def test_orbit_structure():
     for q, c in ADMISSIBLE_16:
         space = ClassSpace(FiniteField(q), c)
-        assert len(space.classes()) * c == q * q - 1
+        assert len(space.reps) * c == q * q - 1
         assert len(space.subgroup) == c
 
 
@@ -67,7 +68,7 @@ def test_class_of_out_of_range_rejected():
 def test_ids_follow_representative_order():
     for q, c in [(5, 2), (7, 3), (9, 4)]:
         space = ClassSpace(FiniteField(q), c)
-        cls_list = space.classes()
+        cls_list = space.reps
         reps = list(cls_list)
         assert reps == sorted(reps)
         assert [space.class_of(a, b) for a, b in cls_list] == list(range(len(cls_list)))
@@ -127,15 +128,15 @@ def test_intersection_dichotomy():
 def test_incidence_symmetry_and_regularity():
     for q, c in [(5, 2), (7, 3), (9, 2), (13, 6)]:
         hypergraph = furedi_hypergraph(q, c)
-        edge_sets = [set(edge) for edge in hypergraph.edges]
-        for u in range(hypergraph.n_vertices):
+        edge_sets = [set(edge) for edge in hypergraph.lists]
+        for u in range(hypergraph.num_colors):
             for v in edge_sets[u]:
                 assert u in edge_sets[v]
-        degrees = [0] * hypergraph.n_vertices
-        for edge in hypergraph.edges:
+        degrees = [0] * hypergraph.num_colors
+        for edge in hypergraph.lists:
             for v in edge:
                 degrees[v] += 1
-        assert degrees == [q] * hypergraph.n_vertices
+        assert degrees == [q] * hypergraph.num_colors
 
 
 # -- origin lines -----------------------------------------------------------------
@@ -171,20 +172,20 @@ def test_origin_line_sizes_disjointness_transversality():
 
 def test_augmented_examples():
     hypergraph = augmented_hypergraph(5, 2)
-    assert hypergraph.n_vertices == 13
-    assert len(hypergraph.edges) == 14
-    assert all(len(edge) == 5 for edge in hypergraph.edges)
+    assert hypergraph.num_colors == 13
+    assert len(hypergraph.lists) == 14
+    assert all(len(edge) == 5 for edge in hypergraph.lists)
     small = augmented_hypergraph(3, 1)
-    assert small.n_vertices == 9
-    assert len(small.edges) == 10
-    assert all(len(edge) == 3 for edge in small.edges)
+    assert small.num_colors == 9
+    assert len(small.lists) == 10
+    assert all(len(edge) == 3 for edge in small.lists)
 
 
 def test_bundles_meet_only_in_fresh_vertex():
     for q, c in [(5, 2), (7, 3), (9, 4), (3, 1)]:
         hypergraph = augmented_hypergraph(q, c)
-        fresh = hypergraph.n_vertices - 1
-        bundle1, bundle2 = (set(e) for e in hypergraph.edges[-2:])
+        fresh = hypergraph.num_colors - 1
+        bundle1, bundle2 = (set(e) for e in hypergraph.lists[-2:])
         assert fresh in bundle1 and fresh in bundle2
         assert bundle1 & bundle2 == {fresh}
 
@@ -224,6 +225,17 @@ def test_hard_instance_shapes():
     assert len(inst16.meta["modulus"]) == 5  # degree-4 modulus over GF(2)
 
 
+def test_hypergraphs_are_list_assignments():
+    for q, c in [(3, 1), (5, 2), (9, 4)]:
+        base, augmented = furedi_hypergraph(q, c), augmented_hypergraph(q, c)
+        assert (base.n, base.k, base.c, base.num_colors) == (len(base.lists), q, c, base.n)
+        assert (augmented.k, augmented.c, augmented.meta) == (q, c, None)
+        assert augmented.lists[:-2] == base.lists
+        assert augmented.num_colors == augmented.n - 1 == base.n + 1
+        inst = hard_instance(q, c)
+        assert inst == replace(augmented, meta=inst.meta)
+
+
 def test_hard_instance_valid_and_one_color_short():
     for q, c in ADMISSIBLE_16:
         inst = hard_instance(q, c)
@@ -245,9 +257,9 @@ def test_verify_design_passes_on_furedi():
 
 def test_verify_design_flags_uniformity_violation():
     base = furedi_hypergraph(5, 2)
-    edges = list(base.edges)
+    edges = list(base.lists)
     edges[3] = edges[3][:-1]  # plant a defect: drop one vertex
-    broken = Hypergraph(base.n_vertices, tuple(edges))
+    broken = replace(base, lists=tuple(edges))
     report = verify_design(broken, 5, 2)
     assert not report.ok
     assert any("edge 3" in v and "size 4" in v for v in report.violations)
@@ -255,7 +267,33 @@ def test_verify_design_flags_uniformity_violation():
 
 def test_verify_design_flags_intersection_violation():
     base = furedi_hypergraph(3, 1)
-    edges = base.edges + (base.edges[0],)  # duplicate edge overlaps in q > c
-    report = verify_design(Hypergraph(base.n_vertices, edges), 3, 1)
+    edges = base.lists + (base.lists[0],)  # duplicate edge overlaps in q > c
+    report = verify_design(replace(base, lists=edges), 3, 1)
     assert not report.ok
     assert any("intersect" in v for v in report.violations)
+
+
+def test_verify_design_flags_repeated_and_out_of_range_vertices():
+    base = furedi_hypergraph(3, 1)
+    edges = list(base.lists)
+    edges[0] = (0, 0, 6)
+    edges[1] = edges[1][:-1] + (99,)
+    report = verify_design(replace(base, lists=tuple(edges)), 3, 1)
+    assert report.violations == ["edge 0 repeats a vertex: (0, 0, 6)",
+                                 "edge 1 references vertex 99 out of range"]
+    # out-of-range vertices count toward no degree
+    assert report.degree_histogram == {2: 2, 3: 5, 4: 1}
+
+
+def test_verify_design_counts_shared_out_of_range_vertices():
+    # edges 0 = (0, 3, 6) and 2 = (2, 3, 4) meet in 3; a shared vertex -1,
+    # outside [0, 8) but still an element of both, raises that to 2 > c
+    base = furedi_hypergraph(3, 1)
+    edges = list(base.lists)
+    edges[0] = (-1, 0, 3)
+    edges[2] = (-1, 2, 3)
+    report = verify_design(replace(base, lists=tuple(edges)), 3, 1)
+    assert report.violations == ["edge 0 references vertex -1 out of range",
+                                 "edge 2 references vertex -1 out of range",
+                                 "edges 0 and 2 intersect in 2 > 1 vertices"]
+    assert report.max_intersection == 2

@@ -255,6 +255,13 @@ def test_pow_negative_exponent_is_power_of_inverse():
             field.pow(0, -1)
 
 
+def test_pow_of_zero():
+    for q in (5, 8, 9, 16):
+        field = FiniteField(q)
+        assert field.pow(0, 0) == 1
+        assert field.pow(0, 3) == 0
+
+
 # -- multiplicative orders -------------------------------------------------------
 
 def test_element_order_gf5():
