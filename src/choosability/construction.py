@@ -20,7 +20,7 @@ from functools import lru_cache
 from .bounds import check_admissible
 from .gf import FiniteField, OrderUnavailable
 from .instances import ListAssignment
-from .solver import overlap_rows
+from .solver import entry_columns, overlap_planes
 
 
 # largest instance built, in list entries n*q: (q, c) = (128, 1) has 2,097,280;
@@ -200,29 +200,39 @@ def verify_design(design: ListAssignment, q: int, c: int) -> DesignReport:
     `design.lists` over the vertices [0, design.num_colors), and report
     counts, the observed intersection sizes, and the vertex degree
     histogram. Violations carry a concrete witness (edge or edge pair)."""
+    lists = design.lists
     violations = []
-    degrees = [0] * design.num_colors
-    for i, edge in enumerate(design.lists):
+    for i, edge in enumerate(lists):
         if len(set(edge)) != len(edge):
             violations.append(f"edge {i} repeats a vertex: {edge}")
         if len(edge) != q:
             violations.append(f"edge {i} has size {len(edge)}, expected {q}")
-        for v in edge:
-            if not 0 <= v < design.num_colors:
-                violations.append(f"edge {i} references vertex {v} out of range")
-            else:
-                degrees[v] += 1
+        violations.extend(f"edge {i} references vertex {v} out of range"
+                          for v in edge if not 0 <= v < design.num_colors)
 
+    # sizes 0..depth-1 are read off the planes; pairs over c are recounted
+    columns = entry_columns(lists)
+    depth = min(max(c, 0), max(map(len, lists), default=0)) + 1
     sizes = set()
-    for i, row in overlap_rows(design.lists):
-        sizes.update(row)
-        if max(row, default=0) > c:
-            violations.extend(f"edges {i} and {j} intersect in {size} > {c} vertices"
-                              for j, size in enumerate(row, i + 1) if size > c)
+    for i, planes in overlap_planes(lists, columns, depth):
+        later = below = (1 << (len(lists) - i - 1)) - 1  # edges i+1..n-1
+        for size, plane in enumerate(planes):
+            if plane != below:  # planes nest, so some pair shares exactly `size`
+                sizes.add(size)
+            below = plane
+        over = below if c >= 0 else later
+        while over:
+            low = over & -over
+            over ^= low
+            j = i + low.bit_length()
+            size = len(set(lists[i]) & set(lists[j]))
+            sizes.add(size)
+            violations.append(f"edges {i} and {j} intersect in {size} > {c} vertices")
 
     histogram: dict[int, int] = {}
-    for d in degrees:
-        histogram[d] = histogram.get(d, 0) + 1
+    for v in range(design.num_colors):
+        degree = columns.get(v, 0).bit_count()
+        histogram[degree] = histogram.get(degree, 0) + 1
     return DesignReport(
         ok=not violations,
         n_vertices=design.num_colors,

@@ -141,23 +141,38 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
     return ColorabilityResult(violator=(violator_s, neighbors))
 
 
-def overlap_rows(lists):
-    """Yield (u, row) for each list u, where row[j] counts the entries that
-    lists u and u + 1 + j share: every pair once, in index order.
+def entry_columns(lists) -> dict[int, int]:
+    """Map each entry to its column: bit v is set when list v holds it.
 
-    Each list becomes a bitmask whose bits rank entries by first appearance,
-    so masks grow with the entries in use, not the largest id, and any int
-    ids work; relabeling leaves every overlap size unchanged.
+    Any int is an entry, whatever its range, and a list that repeats an
+    entry holds it once.
     """
-    rank: dict[int, int] = {}
-    masks = []
-    for lst in lists:
-        mask = 0
-        for entry in lst:
-            mask |= 1 << rank.setdefault(entry, len(rank))
-        masks.append(mask)
-    for u, mask in enumerate(masks):
-        yield u, [(mask & other).bit_count() for other in masks[u + 1:]]
+    columns: dict[int, int] = {}
+    for v, lst in enumerate(lists):
+        bit = 1 << v
+        for entry in set(lst):
+            columns[entry] = columns.get(entry, 0) | bit
+    return columns
+
+
+def overlap_planes(lists, columns, depth: int):
+    """Yield (u, planes) for each list u, where bit j of planes[i] is set
+    when lists u and u + 1 + j share more than i entries: every pair once,
+    in index order, counted up to `depth`.
+
+    The planes are a saturating unary counter over the columns of u's
+    entries (Knuth, TAOCP 4A §7.1.3), so each list costs O(k * depth)
+    operations on n-bit ints rather than one AND per other list.
+    """
+    carries = range(depth - 1, 0, -1)  # top down, so each plane reads the old one below
+    for u, lst in enumerate(lists):
+        planes = [0] * depth
+        for entry in set(lst):
+            column = columns[entry]
+            for i in carries:
+                planes[i] |= planes[i - 1] & column
+            planes[0] |= column
+        yield u, [plane >> (u + 1) for plane in planes]
 
 
 def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityReport:
@@ -166,13 +181,18 @@ def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityR
     Returns the first offending vertex (size violation) or vertex pair
     (overlap violation) in index order.
     """
-    for v, lst in enumerate(assignment.lists):
+    lists = assignment.lists
+    for v, lst in enumerate(lists):
         if len(lst) != k:
             return ValidityReport(valid=False, bad_vertex=v)
-    for u, row in overlap_rows(assignment.lists):
-        if max(row, default=0) > c:
-            j, overlap = next((j, size) for j, size in enumerate(row) if size > c)
-            return ValidityReport(valid=False, bad_pair=(u, u + 1 + j), overlap=overlap)
+    if c >= k:  # lists of size k share at most k colors
+        return ValidityReport(valid=True)
+    for u, planes in overlap_planes(lists, entry_columns(lists), max(c, 0) + 1):
+        over = planes[c] if c >= 0 else (1 << (len(lists) - u - 1)) - 1
+        if over:
+            v = u + (over & -over).bit_length()
+            return ValidityReport(valid=False, bad_pair=(u, v),
+                                  overlap=len(set(lists[u]) & set(lists[v])))
     return ValidityReport(valid=True)
 
 

@@ -3,13 +3,22 @@
 These deliberately re-derive results through different algorithms than the
 package uses (augmenting-path matching instead of Hopcroft-Karp, trial
 division instead of Miller-Rabin, filter-based enumeration instead of the
-pruned generator), so agreement is meaningful.
+pruned generator, one AND per pair of lists instead of the column counter),
+so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+from choosability.construction import DesignReport
+from choosability.solver import ValidityReport
+
+# every admissible pair with q <= 16; superset of the 13 pairs the
+# acceptance criteria name
+ADMISSIBLE_16 = [(q, c) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16)
+                 for c in range(1, q - 1) if (q - 1) % c == 0]
 
 
 def kuhn_matching_size(adj, n_left: int, n_right: int) -> int:
@@ -141,3 +150,68 @@ def generate_then_filter(n: int, k: int, c: int, edges=None):
             masks.pop()
 
     yield from extend(0, 0)
+
+
+def overlap_rows(lists):
+    """Yield (u, row) for each list u, where row[j] counts the entries that
+    lists u and u + 1 + j share: every pair once, in index order.
+
+    Each list becomes a bitmask whose bits rank entries by first appearance,
+    so any int ids work and a repeated entry counts once.
+    """
+    rank: dict[int, int] = {}
+    masks = []
+    for lst in lists:
+        mask = 0
+        for entry in lst:
+            mask |= 1 << rank.setdefault(entry, len(rank))
+        masks.append(mask)
+    for u, mask in enumerate(masks):
+        yield u, [(mask & other).bit_count() for other in masks[u + 1:]]
+
+
+def reference_validate_assignment(assignment, k: int, c: int) -> ValidityReport:
+    """`solver.validate_assignment` by comparing every pair of lists."""
+    for v, lst in enumerate(assignment.lists):
+        if len(lst) != k:
+            return ValidityReport(valid=False, bad_vertex=v)
+    for u, row in overlap_rows(assignment.lists):
+        for j, size in enumerate(row):
+            if size > c:
+                return ValidityReport(valid=False, bad_pair=(u, u + 1 + j), overlap=size)
+    return ValidityReport(valid=True)
+
+
+def reference_verify_design(design, q: int, c: int) -> DesignReport:
+    """`construction.verify_design` by comparing every pair of edges, with
+    degrees counted over each edge's distinct vertices."""
+    violations = []
+    degrees = [0] * design.num_colors
+    for i, edge in enumerate(design.lists):
+        if len(set(edge)) != len(edge):
+            violations.append(f"edge {i} repeats a vertex: {edge}")
+        if len(edge) != q:
+            violations.append(f"edge {i} has size {len(edge)}, expected {q}")
+        for v in edge:
+            if not 0 <= v < design.num_colors:
+                violations.append(f"edge {i} references vertex {v} out of range")
+        for v in set(edge):
+            if 0 <= v < design.num_colors:
+                degrees[v] += 1
+    sizes = set()
+    for i, row in overlap_rows(design.lists):
+        sizes.update(row)
+        violations.extend(f"edges {i} and {j} intersect in {size} > {c} vertices"
+                          for j, size in enumerate(row, i + 1) if size > c)
+    histogram: dict[int, int] = {}
+    for d in degrees:
+        histogram[d] = histogram.get(d, 0) + 1
+    return DesignReport(
+        ok=not violations,
+        n_vertices=design.num_colors,
+        n_edges=len(design.lists),
+        max_intersection=max(sizes, default=0),
+        intersection_sizes=tuple(sorted(sizes)),
+        degree_histogram=dict(sorted(histogram.items())),
+        violations=violations,
+    )

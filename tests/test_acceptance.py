@@ -21,10 +21,8 @@ from choosability.oracle import (
     iter_canonical_assignments,
     list_colorable_graph,
 )
+from conftest import ADMISSIBLE_16
 
-# every admissible pair with q <= 16; superset of the 13 pairs the criteria name
-ADMISSIBLE_16 = [(q, c) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16)
-                 for c in range(1, q - 1) if (q - 1) % c == 0]
 REQUIRED_PAIRS = {(3, 1), (4, 1), (5, 1), (5, 2), (7, 2), (7, 3), (8, 1),
                   (9, 2), (9, 4), (11, 5), (13, 4), (16, 3), (16, 5)}
 assert REQUIRED_PAIRS <= set(ADMISSIBLE_16)

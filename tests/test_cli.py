@@ -324,6 +324,17 @@ def test_verify_huge_color_ids_exits_0(tmp_path, capsys):
     assert json.loads(out)["valid"] is True
 
 
+def test_verify_huge_cap_exits_0(tmp_path, capsys):
+    # a cap of 10**18 must not size the overlap counter
+    inst_path = tmp_path / "inst.json"
+    run(capsys, "construct", "--q", "3", "--c", "1", "--out", str(inst_path))
+    instance = json.loads(inst_path.read_text())
+    inst_path.write_text(json.dumps(instance | {"c": 10 ** 18}))
+    code, out, err = run(capsys, "verify", str(inst_path), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["valid"] is True
+
+
 def test_solve_output_is_deterministic(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     run(capsys, "construct", "--q", "5", "--c", "2", "--out", str(inst_path))

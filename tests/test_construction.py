@@ -15,9 +15,7 @@ from choosability.construction import (
     verify_design,
 )
 from choosability.gf import FiniteField, OrderUnavailable
-
-ADMISSIBLE_16 = [(q, c) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16)
-                 for c in range(1, q - 1) if (q - 1) % c == 0]
+from conftest import ADMISSIBLE_16
 
 
 # -- classes -------------------------------------------------------------------
@@ -281,8 +279,9 @@ def test_verify_design_flags_repeated_and_out_of_range_vertices():
     report = verify_design(replace(base, lists=tuple(edges)), 3, 1)
     assert report.violations == ["edge 0 repeats a vertex: (0, 0, 6)",
                                  "edge 1 references vertex 99 out of range"]
-    # out-of-range vertices count toward no degree
-    assert report.degree_histogram == {2: 2, 3: 5, 4: 1}
+    # a repeated vertex counts once, out-of-range vertices toward no degree:
+    # 3 and the last vertex of edge 1 lose an edge, the others keep three
+    assert report.degree_histogram == {2: 2, 3: 6}
 
 
 def test_verify_design_counts_shared_out_of_range_vertices():

@@ -1,0 +1,86 @@
+"""The column counter behind both audits against the pairwise reference:
+`validate_assignment` and `verify_design` must report exactly what one AND
+per pair of lists reports, on the hard instances, on corrupted copies of
+them, and on small malformed lists."""
+
+import random
+from dataclasses import replace
+
+from choosability.construction import augmented_hypergraph, verify_design
+from choosability.instances import ListAssignment
+from choosability.solver import validate_assignment
+from conftest import ADMISSIBLE_16, reference_validate_assignment, reference_verify_design
+
+
+def assert_matches_reference(design, k, c):
+    assert validate_assignment(design, k, c) == reference_validate_assignment(design, k, c)
+    assert verify_design(design, k, c) == reference_verify_design(design, k, c)
+
+
+def with_list(design, v, lst):
+    lists = list(design.lists)
+    lists[v] = tuple(sorted(lst))
+    return replace(design, lists=tuple(lists))
+
+
+def swap_colors(design, rng):
+    """Trade a color of one list for a color of another that it lacks."""
+    u, v = rng.sample(range(design.n), 2)
+    lu, lv = set(design.lists[u]), set(design.lists[v])
+    x, y = rng.choice(sorted(lu - lv)), rng.choice(sorted(lv - lu))
+    return with_list(with_list(design, u, lu - {x} | {y}), v, lv - {y} | {x})
+
+
+def duplicate_list(design, rng):
+    """Insert a copy of one list at a random position."""
+    lists = list(design.lists)
+    lists.insert(rng.randrange(len(lists) + 1), rng.choice(lists))
+    return replace(design, n=len(lists), lists=tuple(lists))
+
+
+def raise_overlap(design, rng, size):
+    """Make two lists that share at most c colors share exactly `size`."""
+    while True:
+        u, v = rng.sample(range(design.n), 2)
+        lu, lv = set(design.lists[u]), set(design.lists[v])
+        if len(lu & lv) <= design.c:
+            break
+    gained = rng.sample(sorted(lu - lv), size - len(lu & lv))
+    lost = rng.sample(sorted(lv - lu), len(gained))
+    return with_list(design, v, lv - set(lost) | set(gained))
+
+
+def test_counter_matches_reference_on_admissible_designs():
+    for q, c in ADMISSIBLE_16:
+        design = augmented_hypergraph(q, c)
+        for cap in (c - 1, c, c + 1):
+            assert_matches_reference(design, q, cap)
+
+
+def test_counter_matches_reference_on_corrupted_designs():
+    rng = random.Random(20131)
+    for q, c in ADMISSIBLE_16:
+        design = augmented_hypergraph(q, c)
+        for _ in range(2):
+            for corrupted in (swap_colors(design, rng), duplicate_list(design, rng),
+                              raise_overlap(design, rng, c + 1),
+                              raise_overlap(design, rng, q)):
+                assert_matches_reference(corrupted, q, c)
+
+
+def test_counter_matches_reference_on_malformed_lists():
+    # duplicate entries, ids outside [0, num_colors) on both sides, lists of
+    # the wrong size, and caps from below zero to above k
+    rng = random.Random(7)
+    for _ in range(3000):
+        n, k = rng.randrange(8), rng.randrange(5)
+        lists = tuple(tuple(rng.choices(range(-2, 9), k=max(0, k + rng.choice((-1, 0, 0, 0, 1)))))
+                      for _ in range(n))
+        design = ListAssignment(n=n, k=k, c=0, num_colors=rng.randrange(8), lists=lists)
+        for c in range(-2, k + 2):
+            assert_matches_reference(design, k, c)
+
+
+def test_huge_cap_counts_no_further_than_the_longest_list():
+    design = augmented_hypergraph(5, 2)
+    assert_matches_reference(design, 5, 10 ** 18)

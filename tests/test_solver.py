@@ -10,6 +10,7 @@ from choosability.instances import assignment_from_lists
 from choosability.solver import (
     ColorabilityResult,
     ColorOutOfRange,
+    ValidityReport,
     check_certificate,
     colorable,
     validate_assignment,
@@ -156,6 +157,14 @@ def test_validate_assignment_reports_first_pair_in_index_order():
     lists = [(0, 1), (2, 3), (4, 5), (2, 3), (0, 1)]
     report = validate_assignment(assignment_from_lists(lists, c=1), 2, 1)
     assert report.bad_pair == (0, 4) and report.overlap == 2
+
+
+def test_validate_assignment_negative_cap():
+    # with no pair nothing exceeds the cap; otherwise (0, 1) is the first pair
+    for lists in ([], [(0, 1)]):
+        assert validate_assignment(assignment_from_lists(lists, c=-1), 2, -1).valid
+    report = validate_assignment(assignment_from_lists([(0, 1), (2, 3), (0, 1)], c=-1), 2, -1)
+    assert report == ValidityReport(valid=False, bad_pair=(0, 1), overlap=0)
 
 
 def test_validate_assignment_wrong_size():
