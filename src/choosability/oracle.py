@@ -91,17 +91,15 @@ def _generate(n, k, c, prev_adj):
     # holding x but not x-1 is pruned when that would happen. The prune also
     # forces restricted growth, so the colors in use are the nonempty columns,
     # cols.index(0) of them (one column is spare). frames[v] is vertex v's
-    # combination iterator; frame n marks a completed assignment.
+    # combination iterator; the last vertex's lists are yielded in place.
+    if not n:
+        yield ()
     lists: list[tuple[int, ...]] = []
     masks: list[int] = []
     cols = [0] * (n * k + 1)
-    frames = [itertools.combinations(range(k), k)]
+    frames = [itertools.combinations(range(k), k)] if n else []
     while frames:
         v = len(frames) - 1
-        if v == n:
-            yield tuple(lists)
-            frames.pop()
-            continue
         bit = 1 << (n - 1 - v)
         if len(lists) > v:  # back at frame v: take back its previous list
             for x in lists.pop():
@@ -114,6 +112,9 @@ def _generate(n, k, c, prev_adj):
             for x in combo:
                 mask |= 1 << x
             if any((mask & masks[u]).bit_count() > c for u in prev_adj[v]):
+                continue
+            if v == n - 1:
+                yield (*lists, combo)
                 continue
             for x in combo:
                 cols[x] |= bit
@@ -142,15 +143,20 @@ class ChiSearchResult:
 
 
 def _first_uncolorable(n: int, k: int, c: int, edges, cap: int) -> tuple[Assignment | None, int]:
-    """The first canonical (k,c)-assignment on the graph that its colorer
-    rejects (None if none) and how many were examined. The enumerator
-    refuses n * k over `cap` before the colorer's O(n^2) setup runs."""
+    """The first canonical (k,c)-assignment on the graph that is not
+    colorable (None if none) and how many were examined. One `forced` search
+    decides each run of assignments sharing the lists of vertices 0..n-2.
+    The enumerator refuses n * k over `cap` before the colorer's setup runs."""
     assignments = iter_canonical_assignments(n, k, c, edges=edges, cap=cap)
-    colorable = _colorer(n, edges)
+    forced = _colorer(n, edges)
     checked = 0
+    prefix = used = None
     for assignment in assignments:
         checked += 1
-        if not colorable(assignment):
+        if assignment[:-1] != prefix:
+            prefix = assignment[:-1]
+            used = forced(assignment)
+        if n and (used is None or used.issuperset(assignment[-1])):
             return assignment, checked
     return None, checked
 
@@ -182,52 +188,66 @@ def exact_chi_l_complete(n: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> in
 
 
 def _colorer(n: int, edges):
-    """The backtracking list-colorability test for the graph on n vertices
-    with these edges (None for the complete graph), built once per
-    enumeration and applied to raw per-vertex lists: vertices are tried in
-    decreasing degree order, each against the neighbors placed before it."""
+    """`forced(lists)` for the graph G on n vertices with these edges (None
+    for the complete graph), built once per enumeration. With w = n-1 it is
+    None when G - w has no proper coloring from lists[:w], else a set holding
+    every color that all of them put on w's neighbors N(w). A coloring of
+    G - w extends to w exactly when lists[w] holds a color it leaves off N(w)
+    (Erdos-Rubin-Taylor), so the lists are colorable exactly when the set
+    misses a color of lists[w]. The search backtracks over G - w, N(w) first,
+    and returns once fewer colors than lists[w] holds are common so far."""
+    w = n - 1
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in itertools.combinations(range(n), 2) if edges is None else edges:
         adj[u].add(v)
         adj[v].add(u)
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    steps = [(v, [u for u in order[:i] if u in adj[v]]) for i, v in enumerate(order)]
-    chosen = [-1] * n
+    near = adj[w] if n else set()
+    order = sorted(range(w), key=lambda v: (v not in near, -len(adj[v]), v))
+    # step i colors order[i], unlike the earlier steps placed[i] adjacent to it
+    placed = [[j for j in range(i) if order[j] in adj[v]] for i, v in enumerate(order)]
+    m = len(near)  # steps 0..m-1 color N(w)
+    chosen = [-1] * len(order)
 
-    def colorable(lists) -> bool:
+    def forced(lists) -> set | None:
+        if not order:
+            return set()
+        common = None
         # frames[i] iterates the colors that step i has not tried yet
-        frames = [iter(lists[steps[0][0]])] if steps else []
+        frames = [iter(lists[order[0]])]
         while frames:
             i = len(frames) - 1
-            v, placed = steps[i]
             for color in frames[i]:
-                if all(chosen[u] != color for u in placed):
-                    chosen[v] = color
-                    break
+                if all(chosen[j] != color for j in placed[i]):
+                    chosen[i] = color
+                    # a color that puts all of `common` on N(w) cannot shrink it
+                    if i >= m or common is None or not common.issubset(chosen[:i + 1]):
+                        break
             else:
                 frames.pop()
                 continue
-            if i + 1 == len(steps):
-                return True
-            frames.append(iter(lists[steps[i + 1][0]]))
-        return not steps
+            if i + 1 < len(order):
+                frames.append(iter(lists[order[i + 1]]))
+                continue
+            common = set(chosen[:m]) if common is None else common.intersection(chosen[:m])
+            if len(common) < len(set(lists[w])):
+                break
+            del frames[m:]  # the steps after N(w) cannot change its colors
+        return common
 
-    return colorable
+    return forced
 
 
 def list_colorable_graph(graph: SmallGraph, assignment: ListAssignment) -> bool:
-    """Proper list-colorability of an arbitrary tiny graph by backtracking.
-
-    Vertices are tried in decreasing degree order; only adjacent vertices
-    must receive distinct colors. Limited to n <= 8. Raises ValueError when
-    the assignment does not have one list per vertex.
-    """
+    """Proper list-colorability of an arbitrary graph on n <= 8 vertices,
+    by `_colorer`'s backtracking. Raises ValueError when the assignment does
+    not have one list per vertex."""
     if len(assignment.lists) != graph.n:
         raise ValueError(
             f"assignment has {len(assignment.lists)} lists for {graph.n} vertices")
     if graph.n > 8:
         raise SearchTooLarge(f"backtracking limited to 8 vertices, got {graph.n}")
-    return _colorer(graph.n, graph.edges)(assignment.lists)
+    used = _colorer(graph.n, graph.edges)(assignment.lists)
+    return not graph.n or (used is not None and not used.issuperset(assignment.lists[-1]))
 
 
 def chi_l_graph_search(graph: SmallGraph, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> ChiSearchResult:

@@ -3,8 +3,9 @@
 These deliberately re-derive results through different algorithms than the
 package uses (augmenting-path matching instead of Hopcroft-Karp, trial
 division instead of Miller-Rabin, filter-based enumeration instead of the
-pruned generator, one AND per pair of lists instead of the column counter),
-so agreement is meaningful.
+pruned generator, one AND per pair of lists instead of the column counter,
+a full coloring search per assignment instead of one search of G - w per
+run of assignments), so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import math
 
 from choosability.construction import DesignReport
+from choosability.oracle import iter_canonical_assignments
 from choosability.solver import ValidityReport
 
 # every admissible pair with q <= 16; superset of the 13 pairs the
@@ -215,3 +217,50 @@ def reference_verify_design(design, q: int, c: int) -> DesignReport:
         degree_histogram=dict(sorted(histogram.items())),
         violations=violations,
     )
+
+
+def reference_colorer(n: int, edges):
+    """The backtracking list-colorability test for the graph on n vertices
+    with these edges (None for the complete graph), applied to raw
+    per-vertex lists: vertices are tried in decreasing degree order, each
+    against the neighbors placed before it, until one proper coloring is
+    found."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2) if edges is None else edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    steps = [(v, [u for u in order[:i] if u in adj[v]]) for i, v in enumerate(order)]
+    chosen = [-1] * n
+
+    def colorable(lists) -> bool:
+        # frames[i] iterates the colors that step i has not tried yet
+        frames = [iter(lists[steps[0][0]])] if steps else []
+        while frames:
+            i = len(frames) - 1
+            v, placed = steps[i]
+            for color in frames[i]:
+                if all(chosen[u] != color for u in placed):
+                    chosen[v] = color
+                    break
+            else:
+                frames.pop()
+                continue
+            if i + 1 == len(steps):
+                return True
+            frames.append(iter(lists[steps[i + 1][0]]))
+        return not steps
+
+    return colorable
+
+
+def reference_first_uncolorable(n: int, k: int, c: int, edges, cap: int):
+    """`oracle._first_uncolorable` with `reference_colorer` run on every
+    assignment the canonical enumerator yields."""
+    colorable = reference_colorer(n, edges)
+    checked = 0
+    for assignment in iter_canonical_assignments(n, k, c, edges=edges, cap=cap):
+        checked += 1
+        if not colorable(assignment):
+            return assignment, checked
+    return None, checked

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from choosability import solver
+from choosability import oracle, solver
 from choosability.instances import assignment_from_lists
 from choosability.oracle import (
     SearchTooLarge,
@@ -19,6 +19,7 @@ from choosability.oracle import (
     list_colorable_graph,
 )
 from conftest import (brute_force_canonical, canonical_form, generate_then_filter,
+                      reference_colorer, reference_first_uncolorable,
                       relabel_by_first_appearance)
 
 
@@ -127,6 +128,73 @@ def test_sequence_matches_generate_then_filter_five_vertices():
     _same_sequence(5, 3, 1, k5[1:])
 
 
+def _same_search(n, k, c, edges):
+    cap = max(n * k, 1)
+    assert (oracle._first_uncolorable(n, k, c, edges, cap)
+            == reference_first_uncolorable(n, k, c, edges, cap)), (n, k, c, edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_matches_per_assignment_colorer_small_graphs(n):
+    """One search of G - w per run of assignments finds the same first
+    uncolorable assignment after the same count as a full coloring search
+    of every assignment, on every labeled graph with n <= 4 vertices
+    (edges=None for the complete graph included) and every k <= 12 // n,
+    c <= k."""
+    pairs = list(itertools.combinations(range(n), 2))
+    graphs = [None] + [[pair for i, pair in enumerate(pairs) if bits >> i & 1]
+                       for bits in range(1 << len(pairs))]
+    for edges in graphs:
+        for k in range(1, 12 // n + 1):
+            for c in range(k + 1):
+                _same_search(n, k, c, edges)
+
+
+def test_search_matches_per_assignment_colorer_five_vertices():
+    # the six graphs of the five-vertex sequence test
+    graphs = [None, list(itertools.combinations(range(5), 2))[1:],
+              [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], [(0, 1), (1, 2), (2, 3), (3, 4)],
+              [(0, v) for v in range(1, 5)], list(itertools.combinations(range(4), 2))]
+    for edges in graphs:
+        for k in (1, 2, 3):
+            for c in (0, 1):
+                _same_search(5, k, c, edges)
+
+
+def test_search_colors_once_per_run(monkeypatch):
+    """`forced` runs once per run of assignments that share the lists of
+    vertices 0..n-2, on the run's first assignment."""
+    calls = []
+    colorer = oracle._colorer
+
+    def recording(n, edges):
+        forced = colorer(n, edges)
+
+        def record(lists):
+            calls.append(lists)
+            return forced(lists)
+        return record
+
+    monkeypatch.setattr(oracle, "_colorer", recording)
+    for n, k, c, edges in [(4, 2, 1, None), (5, 2, 1, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+                           (4, 3, 1, [(0, 3), (1, 3), (2, 3)]), (5, 2, 1, None)]:
+        calls.clear()
+        _, checked = oracle._first_uncolorable(n, k, c, edges, 15)
+        seen = list(itertools.islice(iter_canonical_assignments(n, k, c, edges=edges, cap=15),
+                                     checked))
+        starts = [a for i, a in enumerate(seen) if i == 0 or a[:-1] != seen[i - 1][:-1]]
+        assert len(starts) > 1
+        assert calls == starts, (n, k, c, edges)
+
+
+def test_search_on_no_vertices_or_empty_lists():
+    # the empty assignment is colorable; one vertex with an empty list is not
+    assert oracle._first_uncolorable(0, 0, 0, None, 0) == (None, 1)
+    assert oracle._first_uncolorable(1, 0, 0, None, 0) == (((),), 1)
+    for n in (0, 1):
+        _same_search(n, 0, 0, None)
+
+
 def test_enumeration_rejects_bad_edges():
     for edges in ([(0, 5)], [(1, 1)], [(-1, 0)]):
         with pytest.raises(ValueError, match="bad edge"):
@@ -191,6 +259,25 @@ def test_list_colorable_graph_needs_one_list_per_vertex():
         list_colorable_graph(path3, assignment_from_lists([(0,), (1,)], c=1))
     with pytest.raises(ValueError, match="4 lists for 3 vertices"):
         list_colorable_graph(path3, assignment_from_lists([(0,), (1,), (0,), (0,)], c=1))
+
+
+def test_list_colorable_graph_agrees_with_per_assignment_colorer():
+    """Seeded random graphs on 0..6 vertices with lists of 0..4 colors, the
+    ids including 2**61 and 10**18 (so no bitmask may be indexed by color
+    id); many cases have G - w itself uncolorable."""
+    rng = random.Random(14)
+    palette = [0, 1, 2, 3, 2**61, 10**18]
+    g_minus_w_uncolorable = 0
+    for _ in range(20000):
+        n = rng.randint(0, 6)
+        edges = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+        lists = [rng.sample(palette, rng.randint(0, 4)) for _ in range(n)]
+        inst = assignment_from_lists(lists, c=4, num_colors=10**18 + 1)
+        want = reference_colorer(n, edges)(inst.lists)
+        assert list_colorable_graph(SmallGraph.of(n, edges), inst) == want, (n, edges, lists)
+        if n and not reference_colorer(n - 1, [e for e in edges if n - 1 not in e])(inst.lists):
+            g_minus_w_uncolorable += 1
+    assert g_minus_w_uncolorable > 1000
 
 
 def test_backtracking_agrees_with_matching_solver_on_k1_to_k5():

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "choosability").glob("*.py"))
 
@@ -31,3 +32,21 @@ def test_no_function_calls_itself():
     calls = {path.name: _self_calls(ast.parse(path.read_text(), filename=str(path)))
              for path in SOURCES}
     assert {name: found for name, found in calls.items() if found} == {}
+
+
+def test_imports_are_stdlib_or_package():
+    """The package keeps zero runtime dependencies: every import names a
+    standard-library module or is relative to the package."""
+    assert SOURCES
+    outside = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
