@@ -14,10 +14,14 @@ point could misclassify them. Each bound takes O(polylog n) time: the Hall
 threshold is closed-form and the lower bounds step down over q = 1 (mod c)
 with `gf.is_prime`, so past its exact range (q >= psi_13, about 3.3e24,
 so n beyond about 1e48/c) they raise ValueError instead of guessing.
+Each step-down search depends only on the integers it reads, chiefly
+isqrt(c*(n-2)+1), and remembers its last answer, so a run of consecutive
+n (`bounds --range`) costs one search per distinct isqrt(c*(n-2)+1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,6 +72,20 @@ def _largest_one_mod_c(hi: int, lo: int, c: int, accept) -> int | None:
         if accept(q):
             return q
     return None
+
+
+# One slot each: consecutive n of a range ask for the same key, and a
+# raised ValueError is not cached, so a refusal repeats on every call.
+@functools.lru_cache(maxsize=1)
+def _largest_admissible(q_cap: int, c: int) -> int | None:
+    """Largest admissible prime power q <= q_cap, else None."""
+    return _largest_one_mod_c(q_cap, c + 2, c, lambda q: is_admissible(q, c))
+
+
+@functools.lru_cache(maxsize=1)
+def _window_prime(hi: int, lo: int, c: int) -> int | None:
+    """Largest prime q in [lo, hi] with q = 1 (mod c), else None."""
+    return _largest_one_mod_c(hi, lo, c, is_prime)
 
 
 def icbrt_ceil(n: int) -> int:
@@ -157,12 +175,18 @@ def lower_bound_constructive(n: int, c: int) -> tuple[int, str]:
     """
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
-    best = 0
-    if n >= 2:
-        q_cap = math.isqrt(c * (n - 2) + 1)
-        q = _largest_one_mod_c(q_cap, c + 2, c, lambda x: is_admissible(x, c))
-        if q is not None:
-            best = q + 1
+    return _constructive(n, c, _q_cap(n, c))
+
+
+def _q_cap(n: int, c: int) -> int:
+    """isqrt(c*(n-2)+1), the largest q whose instance can fit in K_n; 0 at n = 1."""
+    return math.isqrt(c * (n - 2) + 1) if n >= 2 else 0
+
+
+def _constructive(n: int, c: int, q_cap: int) -> tuple[int, str]:
+    """lower_bound_constructive(n, c), given q_cap = _q_cap(n, c)."""
+    q = _largest_admissible(q_cap, c)
+    best = 0 if q is None else q + 1
     fallback = max(1, _ceil_sqrt_half(c * n))
     if best >= fallback:
         return best, "constructive"
@@ -178,7 +202,7 @@ def lower_bound_asymptotic(n: int, c: int) -> int:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    return max(1, math.isqrt(c * (n - 2) + 1) + 1 - icbrt_ceil(n))
+    return max(1, _q_cap(n, c) + 1 - icbrt_ceil(n))
 
 
 def find_admissible_prime(n: int, c: int) -> int | None:
@@ -191,8 +215,8 @@ def find_admissible_prime(n: int, c: int) -> int | None:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    hi = math.isqrt(c * (n - 2) + 1) + 1
-    return _largest_one_mod_c(hi, max(2, hi - icbrt_ceil(n)), c, is_prime)
+    hi = _q_cap(n, c) + 1
+    return _window_prime(hi, max(2, hi - icbrt_ceil(n)), c)
 
 
 @dataclass(frozen=True)
@@ -216,11 +240,16 @@ def exact_window(q: int, c: int) -> ExactWindow:
 def ktv_reference_bounds(n: int, c: int) -> tuple[float, float]:
     """General-purpose reference interval (sqrt(c*n/2), sqrt(2*e*c*n)).
 
-    Display-only floats; never used in exact threshold logic.
+    Display-only floats; never used in exact threshold logic. Raises
+    ValueError when c*n is past the float range.
     """
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
-    return math.sqrt(c * n / 2), math.sqrt(2 * math.e * c * n)
+    try:
+        return math.sqrt(c * n / 2), math.sqrt(2 * math.e * c * n)
+    except OverflowError:
+        raise ValueError("need c*n within the float range for the reference "
+                         f"interval, got n={n}, c={c}") from None
 
 
 @dataclass(frozen=True)
@@ -247,11 +276,14 @@ def bounds_report(n: int, c: int) -> BoundsReport:
     """
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
-    lower, tag = lower_bound_constructive(n, c)
-    if n >= 2 and find_admissible_prime(n, c) is not None:
-        asymptotic = lower_bound_asymptotic(n, c)
-        if asymptotic > lower:
-            lower, tag = asymptotic, "asymptotic"
+    # the three lower bounds share q_cap and ceil(n^(1/3)); compute each once
+    q_cap = _q_cap(n, c)
+    lower, tag = _constructive(n, c, q_cap)
+    if n >= 2:
+        hi, cbrt = q_cap + 1, icbrt_ceil(n)
+        # hi - cbrt is lower_bound_asymptotic(n, c) wherever it can beat lower >= 1
+        if _window_prime(hi, max(2, hi - cbrt), c) is not None and hi - cbrt > lower:
+            lower, tag = hi - cbrt, "asymptotic"
     lower = min(lower, n)
     hall = _hall_q(n, c) + 1
     upper, upper_tag = (n, "trivial-n") if n < hall else (hall, "hall-threshold")

@@ -5,7 +5,9 @@ package uses (augmenting-path matching instead of Hopcroft-Karp, trial
 division instead of Miller-Rabin, filter-based enumeration instead of the
 pruned generator, one AND per pair of lists instead of the column counter,
 a full coloring search per assignment instead of one search of G - w per
-run of assignments), so agreement is meaningful.
+run of assignments, both step-down prime searches rerun on every row of a
+bounds table instead of remembered per search key), so agreement is
+meaningful.
 """
 
 from __future__ import annotations
@@ -13,6 +15,15 @@ from __future__ import annotations
 import itertools
 import math
 
+from choosability.bounds import (
+    BoundsReport,
+    _ceil_sqrt_half,
+    _hall_q,
+    _largest_one_mod_c,
+    icbrt_ceil,
+    is_admissible,
+    is_prime,
+)
 from choosability.construction import DesignReport
 from choosability.oracle import iter_canonical_assignments
 from choosability.solver import ValidityReport
@@ -264,3 +275,51 @@ def reference_first_uncolorable(n: int, k: int, c: int, edges, cap: int):
         if not colorable(assignment):
             return assignment, checked
     return None, checked
+
+
+def reference_lower_bound_constructive(n: int, c: int) -> tuple[int, str]:
+    """`bounds.lower_bound_constructive` with its search rerun on every call."""
+    if n < 1 or c < 1:
+        raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
+    best = 0
+    if n >= 2:
+        q_cap = math.isqrt(c * (n - 2) + 1)
+        q = _largest_one_mod_c(q_cap, c + 2, c, lambda x: is_admissible(x, c))
+        if q is not None:
+            best = q + 1
+    fallback = max(1, _ceil_sqrt_half(c * n))
+    if best >= fallback:
+        return best, "constructive"
+    return fallback, "ktv"
+
+
+def reference_lower_bound_asymptotic(n: int, c: int) -> int:
+    """`bounds.lower_bound_asymptotic` with its own isqrt and cube root."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
+    return max(1, math.isqrt(c * (n - 2) + 1) + 1 - icbrt_ceil(n))
+
+
+def reference_find_admissible_prime(n: int, c: int) -> int | None:
+    """`bounds.find_admissible_prime` with its search rerun on every call."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
+    hi = math.isqrt(c * (n - 2) + 1) + 1
+    return _largest_one_mod_c(hi, max(2, hi - icbrt_ceil(n)), c, is_prime)
+
+
+def reference_bounds_report(n: int, c: int) -> BoundsReport:
+    """`bounds.bounds_report` built from the reference searches above."""
+    if n < 1 or c < 1:
+        raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
+    lower, tag = reference_lower_bound_constructive(n, c)
+    if n >= 2 and reference_find_admissible_prime(n, c) is not None:
+        asymptotic = reference_lower_bound_asymptotic(n, c)
+        if asymptotic > lower:
+            lower, tag = asymptotic, "asymptotic"
+    lower = min(lower, n)
+    hall = _hall_q(n, c) + 1
+    upper, upper_tag = (n, "trivial-n") if n < hall else (hall, "hall-threshold")
+    exact = lower if lower == upper else None
+    return BoundsReport(n=n, c=c, lower=lower, lower_provenance=tag,
+                        upper=upper, upper_provenance=upper_tag, exact=exact)

@@ -24,7 +24,13 @@ from choosability.bounds import (
     upper_bound,
     vertex_count_bound,
 )
-from conftest import trial_division_is_prime
+from choosability import bounds
+from conftest import (
+    reference_bounds_report,
+    reference_find_admissible_prime,
+    reference_lower_bound_constructive,
+    trial_division_is_prime,
+)
 
 
 # -- primality and prime powers ------------------------------------------------
@@ -261,6 +267,49 @@ def test_bounds_report_clamps_lower_at_n():
     # the sqrt fallback alone would exceed chi here (c > 2n)
     report = bounds_report(2, 5)
     assert report.lower == report.upper == report.exact == 2
+
+
+# every (n, c) with n <= 4000 and c <= 8, in four orders: the remembered
+# searches must not answer one key's question with another key's result.
+# "shared-q-cap" runs the rows of each isqrt(c*(n-2)+1) together, c after c,
+# so a key that leaves out c meets a row with the same q_cap and another c
+_SWEEP_ORDERS = {
+    "ascending": [(n, c) for c in range(1, 9) for n in range(1, 4001)],
+    "descending": [(n, c) for c in range(1, 9) for n in range(4000, 0, -1)],
+    "c-interleaved": [(n, c) for n in range(1, 4001) for c in range(1, 9)],
+    "shared-q-cap": sorted(((n, c) for n in range(1, 4001) for c in range(1, 9)),
+                           key=lambda nc: (bounds._q_cap(*nc), nc[1], nc[0])),
+}
+
+
+@pytest.mark.parametrize("order", sorted(_SWEEP_ORDERS))
+def test_remembered_searches_match_reference(order):
+    for n, c in _SWEEP_ORDERS[order]:
+        assert bounds_report(n, c) == reference_bounds_report(n, c), (n, c)
+        assert lower_bound_constructive(n, c) == reference_lower_bound_constructive(n, c)
+        if n >= 2:
+            assert find_admissible_prime(n, c) == reference_find_admissible_prime(n, c)
+
+
+def test_range_searches_once_per_q_cap(monkeypatch):
+    calls = []
+    for name in ("is_prime", "is_admissible"):
+        real = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *a, real=real: calls.append(1) or real(*a))
+    for c in range(1, 9):
+        calls.clear()
+        for n in range(1, 4001):
+            bounds_report(n, c)
+        q_caps = {math.isqrt(c * (n - 2) + 1) for n in range(2, 4001)}
+        assert len(calls) <= 8 * len(q_caps), (c, len(calls), len(q_caps))
+
+
+def test_refusal_is_not_remembered():
+    # q_cap = isqrt(10**50 - 1) is past psi_13, where is_prime refuses
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is_prime"):
+            bounds_report(10 ** 50, 1)
+    assert bounds_report(10 ** 49, 1).lower == 3162277660168379331998874
 
 
 def test_sandwich_small_sweep():

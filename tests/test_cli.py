@@ -175,6 +175,18 @@ def test_bounds_huge_n_exits_2(capsys):
     assert code == 2 and out == "" and err != ""
 
 
+def test_bounds_refusal_repeats_in_one_process(capsys):
+    first = run(capsys, "bounds", "--n", str(10 ** 50), "--c", "1")
+    assert first[0] == 2 and first[1] == "" and "is_prime" in first[2]
+    assert run(capsys, "bounds", "--n", str(10 ** 50), "--c", "1") == first
+
+
+def test_bounds_reference_interval_overflow_exits_2(capsys):
+    code, out, err = run(capsys, "bounds", "--n", "5", "--c", str(10 ** 400))
+    assert code == 2 and out == ""
+    assert "n=5" in err and f"c={10 ** 400}" in err and "float" in err
+
+
 def test_bounds_large_n_within_primality_range(capsys):
     code, out, _ = run(capsys, "bounds", "--n", str(10 ** 40), "--c", "3", "--json")
     assert code == 0

@@ -12,7 +12,11 @@ The `bounds` digests are of the `--json` output of
 `choosability bounds --range 1..2000 --c C` for C = 1..5 and of
 `choosability bounds --n N --c C` at two large n, taken from the
 implementation before the bounds moved from a sieve and linear scans to
-closed forms and a descending Miller-Rabin search (commit 6adfa9f).
+closed forms and a descending Miller-Rabin search (commit 6adfa9f). The
+digests of `choosability bounds --range 1000000000000..1000000019999` at
+C = 3 (`--json`) and C = 7 (text), a range that does not start at n = 1,
+were taken from the implementation before each step-down search kept its
+last answer for the next row (commit 9d7d1fe).
 
 The `exact` and `probe` digests are of the `--json` output of
 `choosability exact --n N --c C` and `choosability probe --nmax 4 --c C`
@@ -139,6 +143,11 @@ GOLDEN_BOUNDS_N_SHA256 = {
 }
 
 
+GOLDEN_BOUNDS_FAR_RANGE_SHA256 = {
+    3: "40c5b43b71d45d37322462d99022f1d383713f89886d841ba5d086e8f4e469b6",
+}
+
+
 def _stdout_sha256(capsys, argv) -> str:
     capsys.readouterr()
     assert main(argv) == 0
@@ -149,6 +158,12 @@ def _stdout_sha256(capsys, argv) -> str:
 def test_bounds_range_bytes_match_golden_digest(capsys, c):
     argv = ["bounds", "--range", "1..2000", "--c", str(c), "--json"]
     assert _stdout_sha256(capsys, argv) == GOLDEN_BOUNDS_RANGE_SHA256[c]
+
+
+@pytest.mark.parametrize("c", sorted(GOLDEN_BOUNDS_FAR_RANGE_SHA256))
+def test_bounds_far_range_bytes_match_golden_digest(capsys, c):
+    argv = ["bounds", "--range", "1000000000000..1000000019999", "--c", str(c), "--json"]
+    assert _stdout_sha256(capsys, argv) == GOLDEN_BOUNDS_FAR_RANGE_SHA256[c]
 
 
 @pytest.mark.parametrize("n, c", sorted(GOLDEN_BOUNDS_N_SHA256))
@@ -295,6 +310,8 @@ GOLDEN_TEXT_SHA256 = {
     "probe --nmax 4 --c 1": "91ac141b156e9b30010180eceede1af5f4f07dfb1b21bf1fca3fcddf0689e61e",
     "bounds --range 1..300 --c 2": "eb8a5fe8e9e734b4e73bdf095f8db99cfa512708fcb510210ee98a0ea11552ae",
     "bounds --n 14 --c 2": "8b701e925f4a267d611339eed994dc2d7019de50bf0dac9c89cb728663894e77",
+    "bounds --range 1000000000000..1000000019999 --c 7":
+        "ca2e21c3f922bb0c7699319e485f56a610e7b358de61e72f59300084a1ee938c",
 }
 
 
