@@ -14,12 +14,10 @@ from .bounds import (
     admissible_prime_powers,
     bounds_report,
     exact_window,
-    find_admissible_prime,
     is_admissible,
     johnson_bound,
     johnson_threshold,
     ktv_reference_bounds,
-    lower_bound_asymptotic,
     lower_bound_constructive,
     upper_bound,
     vertex_count_bound,

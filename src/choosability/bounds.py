@@ -3,10 +3,11 @@
 chi(n, c) here is the least list size k such that K_n is colorable from
 every assignment of k-color lists whose pairwise intersections have size
 at most c. The module computes lower bounds (constructive from the
-finite-field instances, a general square-root fallback, and an
-asymptotic variant driven by a prime search), the Hall-threshold upper
-bound, and the windows of n on which lower and upper bound meet so the
-value is known exactly.
+finite-field instances, a general square-root fallback, and the
+asymptotic term floor(sqrt(c*(n-2)+1) + 1) - ceil(n^(1/3)) wherever a
+prime q = 1 (mod c) lies at most ceil(n^(1/3)) below isqrt(c*(n-2)+1) + 1),
+the Hall-threshold upper bound, and the windows of n on which lower and
+upper bound meet so the value is known exactly.
 
 Every threshold comparison runs on exact integers or rationals: several
 window endpoints (for example n = 15 at c = 1) are tight, and floating
@@ -193,32 +194,6 @@ def _constructive(n: int, c: int, q_cap: int) -> tuple[int, str]:
     return fallback, "ktv"
 
 
-def lower_bound_asymptotic(n: int, c: int) -> int:
-    """floor(sqrt(c*(n-2)+1) + 1) - ceil(n^(1/3)), floored at 1.
-
-    The formula alone: no hard instance is checked to attain it.
-    bounds_report uses it when find_admissible_prime finds a prime, which
-    may be a prime whose instance does not fit in K_n (ROADMAP item 8).
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    return max(1, _q_cap(n, c) + 1 - icbrt_ceil(n))
-
-
-def find_admissible_prime(n: int, c: int) -> int | None:
-    """Largest prime q with c | q-1 in the window [max(2, hi - ceil(n^(1/3))),
-    hi], hi = isqrt(c*(n-2)+1) + 1, or None when the window has no such prime.
-
-    The window includes hi itself, whose hard instance needs more than n
-    vertices (ROADMAP item 8). Absence is an expected outcome at small n,
-    not an error.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    hi = _q_cap(n, c) + 1
-    return _window_prime(hi, max(2, hi - icbrt_ceil(n)), c)
-
-
 @dataclass(frozen=True)
 class ExactWindow:
     """Closed interval of n on which chi(n, c) equals `value` exactly."""
@@ -241,15 +216,19 @@ def ktv_reference_bounds(n: int, c: int) -> tuple[float, float]:
     """General-purpose reference interval (sqrt(c*n/2), sqrt(2*e*c*n)).
 
     Display-only floats; never used in exact threshold logic. Raises
-    ValueError when c*n is past the float range.
+    ValueError when either end is past the float range, which JSON cannot
+    carry.
     """
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
     try:
-        return math.sqrt(c * n / 2), math.sqrt(2 * math.e * c * n)
-    except OverflowError:
+        low, high = math.sqrt(c * n / 2), math.sqrt(2 * math.e * c * n)
+    except OverflowError:  # c*n itself is past the float range
+        low = high = math.inf
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("need c*n within the float range for the reference "
-                         f"interval, got n={n}, c={c}") from None
+                         f"interval, got n={n}, c={c}")
+    return low, high
 
 
 @dataclass(frozen=True)
@@ -268,11 +247,12 @@ class BoundsReport:
 def bounds_report(n: int, c: int) -> BoundsReport:
     """Best lower and upper bounds for (n, c), with exact value when they meet.
 
-    The asymptotic lower bound takes part whenever find_admissible_prime
-    finds a prime, including the prime hi whose hard instance does not fit
-    in K_n; every "asymptotic" row for n <= 4000, c <= 5 rests on that
-    prime, so no instance backs it (ROADMAP item 8). The lower bound is
-    clamped at n, since n colors always suffice on K_n.
+    The asymptotic lower bound hi - ceil(n^(1/3)), hi = isqrt(c*(n-2)+1) + 1,
+    takes part whenever a prime q = 1 (mod c) lies in [max(2, hi -
+    ceil(n^(1/3))), hi]. That window includes hi itself, whose hard instance
+    does not fit in K_n; every "asymptotic" row for n <= 4000, c <= 5 rests
+    on that prime, so no instance backs it (ROADMAP item 8). The lower
+    bound is clamped at n, since n colors always suffice on K_n.
     """
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
@@ -281,7 +261,7 @@ def bounds_report(n: int, c: int) -> BoundsReport:
     lower, tag = _constructive(n, c, q_cap)
     if n >= 2:
         hi, cbrt = q_cap + 1, icbrt_ceil(n)
-        # hi - cbrt is lower_bound_asymptotic(n, c) wherever it can beat lower >= 1
+        # no floor on hi - cbrt: a floor at 1 could never beat lower >= 1
         if _window_prime(hi, max(2, hi - cbrt), c) is not None and hi - cbrt > lower:
             lower, tag = hi - cbrt, "asymptotic"
     lower = min(lower, n)

@@ -144,14 +144,20 @@ def write_atomic(path: str, text: str) -> None:
     mode 0o666 less the umask, as `open` would create it."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # name the path asked for, not the temp file's random name
+        raise type(exc)(exc.errno, exc.strerror, path) from None

@@ -217,9 +217,10 @@ def check_certificate(assignment: ListAssignment,
     violator_s, claimed_neighborhood = certificate.violator
     if not violator_s:
         return False, "violator set is empty"
-    if len(set(violator_s)) != len(violator_s) or not all(
-            0 <= v < assignment.n for v in violator_s):
+    if not all(0 <= v < assignment.n for v in violator_s):
         return False, "violator set references vertices outside the instance"
+    if len(set(violator_s)) != len(violator_s):
+        return False, "violator set repeats a vertex"
     actual: set[int] = set()
     for v in violator_s:
         actual.update(assignment.lists[v])

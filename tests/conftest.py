@@ -294,14 +294,17 @@ def reference_lower_bound_constructive(n: int, c: int) -> tuple[int, str]:
 
 
 def reference_lower_bound_asymptotic(n: int, c: int) -> int:
-    """`bounds.lower_bound_asymptotic` with its own isqrt and cube root."""
+    """The asymptotic term of `bounds.bounds_report`, floor(sqrt(c*(n-2)+1) + 1)
+    - ceil(n^(1/3)) floored at 1, with its own isqrt and cube root."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     return max(1, math.isqrt(c * (n - 2) + 1) + 1 - icbrt_ceil(n))
 
 
 def reference_find_admissible_prime(n: int, c: int) -> int | None:
-    """`bounds.find_admissible_prime` with its search rerun on every call."""
+    """The prime that admits `bounds.bounds_report`'s asymptotic term: the
+    largest prime q = 1 (mod c) in [max(2, hi - ceil(n^(1/3))), hi], hi =
+    isqrt(c*(n-2)+1) + 1, or None, with its search rerun on every call."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     hi = math.isqrt(c * (n - 2) + 1) + 1

@@ -12,14 +12,12 @@ from choosability.bounds import (
     admissible_prime_powers,
     bounds_report,
     exact_window,
-    find_admissible_prime,
     icbrt_ceil,
     is_admissible,
     is_prime,
     johnson_bound,
     johnson_threshold,
     ktv_reference_bounds,
-    lower_bound_asymptotic,
     lower_bound_constructive,
     upper_bound,
     vertex_count_bound,
@@ -155,12 +153,6 @@ def test_lower_bound_constructive_examples():
     assert lower_bound_constructive(13, 2) == (4, "ktv")
 
 
-def test_lower_bound_asymptotic_examples():
-    assert lower_bound_asymptotic(10 ** 6, 2) == 1315
-    assert lower_bound_asymptotic(10, 1) == 1
-    assert lower_bound_asymptotic(2, 1) == 1
-
-
 def test_hall_q_is_least_q_meeting_threshold():
     for c in range(1, 9):
         for n in [*range(1, 5001), 10 ** 40]:
@@ -193,14 +185,20 @@ def test_lower_bound_constructive_matches_largest_admissible_prime_power():
                 assert 2 * value ** 2 >= c * n and (value == 1 or 2 * (value - 1) ** 2 < c * n)
 
 
-def test_find_admissible_prime():
-    found = find_admissible_prime(10 ** 6, 2)
+def _asymptotic_window_prime(n, c):
+    """The prime that admits bounds_report's asymptotic term at (n, c), or None."""
+    hi = bounds._q_cap(n, c) + 1
+    return bounds._window_prime(hi, max(2, hi - icbrt_ceil(n)), c)
+
+
+def test_window_prime():
+    found = _asymptotic_window_prime(10 ** 6, 2)
     assert found == 1409
     assert trial_division_is_prime(found) and (found - 1) % 2 == 0
     assert 1315 <= found <= 1415
-    assert find_admissible_prime(10, 5) is None
+    assert _asymptotic_window_prime(10, 5) is None
     for n in (100, 500, 1000, 5000):
-        assert find_admissible_prime(n, 1) is not None
+        assert _asymptotic_window_prime(n, 1) is not None
 
 
 def test_exact_window_examples():
@@ -288,7 +286,7 @@ def test_remembered_searches_match_reference(order):
         assert bounds_report(n, c) == reference_bounds_report(n, c), (n, c)
         assert lower_bound_constructive(n, c) == reference_lower_bound_constructive(n, c)
         if n >= 2:
-            assert find_admissible_prime(n, c) == reference_find_admissible_prime(n, c)
+            assert _asymptotic_window_prime(n, c) == reference_find_admissible_prime(n, c)
 
 
 def test_range_searches_once_per_q_cap(monkeypatch):

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, output shapes, and determinism."""
 
+import contextlib
 import inspect
+import io
 import json
 import os
 import stat
@@ -8,8 +10,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from choosability.cli import main
+from choosability.gf import _MR_EXACT_BELOW as PSI_13
 from choosability.formats import loads_certificate, loads_instance
 
 
@@ -71,6 +75,18 @@ def test_out_files_take_mode_from_umask(tmp_path, capsys):
     assert stat.S_IMODE(cert_path.stat().st_mode) == 0o644
     # no temporary file is left beside the outputs
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.json", "inst.json"]
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "dir"])
+def test_failed_out_names_the_given_path(tmp_path, capsys, target):
+    (tmp_path / "dir").mkdir()
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, "construct", "--q", "3", "--c", "1", "--out", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno ") and err.endswith(f": {path!r}\n")
+    assert ".tmp-" not in err
+    # no temporary file is left behind
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
 # -- solve ----------------------------------------------------------------------
@@ -185,6 +201,52 @@ def test_bounds_reference_interval_overflow_exits_2(capsys):
     code, out, err = run(capsys, "bounds", "--n", "5", "--c", str(10 ** 400))
     assert code == 2 and out == ""
     assert "n=5" in err and f"c={10 ** 400}" in err and "float" in err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_bounds_infinite_reference_interval_exits_2(capsys, fmt):
+    # c*n/2 fits a float but 2*e*c*n does not, and JSON has no Infinity
+    code, out, err = run(capsys, "bounds", "--n", "1", "--c", str(10 ** 308), *fmt)
+    assert code == 2 and out == ""
+    assert "float" in err
+
+
+# small values drawn often: with c near 10**308 / n they reach the float edge
+_WIDE = st.integers(-5, 64) | st.integers(-5, 10 ** 420)
+
+
+@st.composite
+def _bounds_argv(draw):
+    """`bounds ... --json` with n and c anywhere in [-5, 10**420], or with
+    c*n near the end of the float range or near psi_13**2, where the
+    prime searches start to refuse."""
+    n, c = draw(_WIDE), draw(_WIDE)
+    if draw(st.booleans()):
+        edge = draw(st.sampled_from([10 ** 308, 2 ** 1025, PSI_13 ** 2]))
+        n = edge // max(c, 1) + draw(st.integers(-3, 3))
+        if draw(st.booleans()):
+            n, c = c, n
+    if draw(st.booleans()):
+        return ["bounds", "--n", str(n), "--c", str(c), "--json"]
+    return ["bounds", "--range", f"{n}..{n + draw(st.integers(0, 3))}", "--c", str(c), "--json"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=200, deadline=2000, database=None)
+@given(_bounds_argv())
+def test_bounds_fuzz_exits_0_with_strict_json_or_2_with_nothing(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue() != ""
+    else:
+        rows = json.loads(out.getvalue(), parse_constant=_refuse_constant)
+        assert [row["n"] for row in rows] == list(range(rows[0]["n"], rows[-1]["n"] + 1))
 
 
 def test_bounds_large_n_within_primality_range(capsys):

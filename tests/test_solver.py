@@ -184,7 +184,7 @@ def test_verify_coloring_rejects_bad_colorings():
 @pytest.mark.parametrize("certificate, reason", [
     (ColorabilityResult(violator=((), ())), "violator set is empty"),
     (ColorabilityResult(violator=((0, 3), (0,))), "outside the instance"),
-    (ColorabilityResult(violator=((0, 0), (0,))), "outside the instance"),
+    (ColorabilityResult(violator=((0, 0), (0,))), "repeats a vertex"),
     (ColorabilityResult(violator=((0, 1), (0, 1))), "differs from the recounted"),
     (ColorabilityResult(violator=((0, 2), (0, 1))), "does not violate Hall"),
     (ColorabilityResult(coloring=(0, 0, 1)), "not a proper coloring"),
