@@ -2,12 +2,11 @@
 
 chi(n, c) here is the least list size k such that K_n is colorable from
 every assignment of k-color lists whose pairwise intersections have size
-at most c. The module computes lower bounds (constructive from the
-finite-field instances, a general square-root fallback, and the
-asymptotic term floor(sqrt(c*(n-2)+1) + 1) - ceil(n^(1/3)) wherever a
-prime q = 1 (mod c) lies at most ceil(n^(1/3)) below isqrt(c*(n-2)+1) + 1),
-the Hall-threshold upper bound, and the windows of n on which lower and
-upper bound meet so the value is known exactly.
+at most c. Each bound is one function of (n, c) returning (value,
+provenance): `lower_bound_constructive` (the finite-field instances or a
+square-root fallback), `_lower_bound_asymptotic` (a value alone) and the
+Hall-threshold `upper_bound`; `bounds_report` composes them, and
+`exact_window` gives the windows of n where the value is known exactly.
 
 Every threshold comparison runs on exact integers or rationals: several
 window endpoints (for example n = 15 at c = 1) are tight, and floating
@@ -153,15 +152,15 @@ def _hall_q(n: int, c: int) -> int:
     return q
 
 
-def upper_bound(n: int, c: int) -> int:
-    """Least k known to color every (k,c)-assignment on K_n.
-
-    min(n, q*+1) where q* is the smallest integer whose Hall threshold
-    reaches n; lists of size n always admit a saturating matching.
-    """
+def upper_bound(n: int, c: int) -> tuple[int, str]:
+    """Least k known to color every (k,c)-assignment on K_n, as (value,
+    provenance): (q*+1, "hall-threshold") for the smallest integer q* whose
+    Hall threshold reaches n, or (n, "trivial-n") when n < q*+1, since lists
+    of size n always admit a saturating matching."""
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
-    return min(n, _hall_q(n, c) + 1)
+    hall = _hall_q(n, c) + 1
+    return (n, "trivial-n") if n < hall else (hall, "hall-threshold")
 
 
 def lower_bound_constructive(n: int, c: int) -> tuple[int, str]:
@@ -176,7 +175,12 @@ def lower_bound_constructive(n: int, c: int) -> tuple[int, str]:
     """
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
-    return _constructive(n, c, _q_cap(n, c))
+    q = _largest_admissible(_q_cap(n, c), c)
+    best = 0 if q is None else q + 1
+    fallback = max(1, _ceil_sqrt_half(c * n))
+    if best >= fallback:
+        return best, "constructive"
+    return fallback, "ktv"
 
 
 def _q_cap(n: int, c: int) -> int:
@@ -184,14 +188,17 @@ def _q_cap(n: int, c: int) -> int:
     return math.isqrt(c * (n - 2) + 1) if n >= 2 else 0
 
 
-def _constructive(n: int, c: int, q_cap: int) -> tuple[int, str]:
-    """lower_bound_constructive(n, c), given q_cap = _q_cap(n, c)."""
-    q = _largest_admissible(q_cap, c)
-    best = 0 if q is None else q + 1
-    fallback = max(1, _ceil_sqrt_half(c * n))
-    if best >= fallback:
-        return best, "constructive"
-    return fallback, "ktv"
+def _lower_bound_asymptotic(n: int, c: int) -> int | None:
+    """hi - ceil(n^(1/3)), hi = isqrt(c*(n-2)+1) + 1, if a prime q = 1 (mod c)
+    lies in [max(2, hi - ceil(n^(1/3))), hi], else None. That window holds hi,
+    whose hard instance does not fit in K_n; every "asymptotic" row for
+    n <= 4000, c <= 5 rests on that prime, so no instance backs it (ROADMAP
+    item 8)."""
+    hi, cbrt = _q_cap(n, c) + 1, icbrt_ceil(n)
+    if _window_prime(hi, max(2, hi - cbrt), c) is None:
+        return None
+    # no floor on hi - cbrt: a floor at 1 could never beat a lower bound >= 1
+    return hi - cbrt
 
 
 @dataclass(frozen=True)
@@ -247,26 +254,16 @@ class BoundsReport:
 def bounds_report(n: int, c: int) -> BoundsReport:
     """Best lower and upper bounds for (n, c), with exact value when they meet.
 
-    The asymptotic lower bound hi - ceil(n^(1/3)), hi = isqrt(c*(n-2)+1) + 1,
-    takes part whenever a prime q = 1 (mod c) lies in [max(2, hi -
-    ceil(n^(1/3))), hi]. That window includes hi itself, whose hard instance
-    does not fit in K_n; every "asymptotic" row for n <= 4000, c <= 5 rests
-    on that prime, so no instance backs it (ROADMAP item 8). The lower
-    bound is clamped at n, since n colors always suffice on K_n.
+    Composes the bound functions, each of (n, c) to (value, provenance): the
+    asymptotic term replaces the constructive bound where strictly larger,
+    and the lower bound is clamped at n, since n colors always suffice on K_n.
     """
-    if n < 1 or c < 1:
-        raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
-    # the three lower bounds share q_cap and ceil(n^(1/3)); compute each once
-    q_cap = _q_cap(n, c)
-    lower, tag = _constructive(n, c, q_cap)
-    if n >= 2:
-        hi, cbrt = q_cap + 1, icbrt_ceil(n)
-        # no floor on hi - cbrt: a floor at 1 could never beat lower >= 1
-        if _window_prime(hi, max(2, hi - cbrt), c) is not None and hi - cbrt > lower:
-            lower, tag = hi - cbrt, "asymptotic"
+    lower, tag = lower_bound_constructive(n, c)
+    asymptotic = _lower_bound_asymptotic(n, c)
+    if asymptotic is not None and asymptotic > lower:
+        lower, tag = asymptotic, "asymptotic"
     lower = min(lower, n)
-    hall = _hall_q(n, c) + 1
-    upper, upper_tag = (n, "trivial-n") if n < hall else (hall, "hall-threshold")
+    upper, upper_tag = upper_bound(n, c)
     exact = lower if lower == upper else None
     return BoundsReport(n=n, c=c, lower=lower, lower_provenance=tag,
                         upper=upper, upper_provenance=upper_tag, exact=exact)

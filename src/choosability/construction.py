@@ -112,7 +112,8 @@ class ClassSpace:
         return tuple(sorted({self.class_of(x, fld.mul(slope, x)) for x in range(1, fld.q)}))
 
 
-@lru_cache(maxsize=None)
+# one slot: the only repeat lookups are the two within each hard_instance call
+@lru_cache(maxsize=1)
 def _space(q: int, c: int) -> ClassSpace:
     if c < 1:
         raise OrderUnavailable(f"the cap c must be a positive divisor of q - 1, got c={c}")

@@ -26,7 +26,8 @@ from .instances import ListAssignment
 
 
 class SearchTooLarge(ValueError):
-    """The requested exhaustive search exceeds the configured cap."""
+    """The search exceeds the configured cap on n * k, or a fixed limit that no
+    cap raises: n_max <= 5 in conjecture_probe, 8 vertices in list_colorable_graph."""
 
 
 DEFAULT_SEARCH_CAP = 14  # refuse enumerations with n * k above this

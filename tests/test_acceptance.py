@@ -234,7 +234,7 @@ def test_criterion_6_asymptotic_ratio():
         widths = {}
         for n in (10 ** 4, 10 ** 6, 10 ** 8):
             lower, _ = bnd.lower_bound_constructive(n, c)
-            upper = bnd.upper_bound(n, c)
+            upper, _ = bnd.upper_bound(n, c)
             scale = math.sqrt(c * n)
             lo, hi = lower / scale, upper / scale
             if not lo <= 1.0 <= hi:

@@ -138,11 +138,11 @@ def test_johnson_bound_consistent_with_constructions():
 # -- chi bounds ------------------------------------------------------------------
 
 def test_upper_bound_examples():
-    assert upper_bound(14, 2) == 6   # q* = 5 since 14 <= 49/3 and 11 < 14
-    assert upper_bound(15, 1) == 4   # exactly at the threshold 15 <= 15
-    assert upper_bound(16, 1) == 5
-    assert upper_bound(1, 1) == 1
-    assert upper_bound(1, 7) == 1
+    assert upper_bound(14, 2) == (6, "hall-threshold")  # q* = 5 since 14 <= 49/3 and 11 < 14
+    assert upper_bound(15, 1) == (4, "hall-threshold")  # exactly at the threshold 15 <= 15
+    assert upper_bound(16, 1) == (5, "hall-threshold")
+    assert upper_bound(1, 1) == (1, "trivial-n")
+    assert upper_bound(1, 7) == (1, "trivial-n")
 
 
 def test_lower_bound_constructive_examples():
@@ -283,7 +283,9 @@ _SWEEP_ORDERS = {
 @pytest.mark.parametrize("order", sorted(_SWEEP_ORDERS))
 def test_remembered_searches_match_reference(order):
     for n, c in _SWEEP_ORDERS[order]:
-        assert bounds_report(n, c) == reference_bounds_report(n, c), (n, c)
+        report = bounds_report(n, c)
+        assert report == reference_bounds_report(n, c), (n, c)
+        assert upper_bound(n, c) == (report.upper, report.upper_provenance)
         assert lower_bound_constructive(n, c) == reference_lower_bound_constructive(n, c)
         if n >= 2:
             assert _asymptotic_window_prime(n, c) == reference_find_admissible_prime(n, c)

@@ -7,14 +7,19 @@ import json
 import os
 import stat
 import sys
+import tempfile
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from choosability.cli import main
+from choosability.construction import hard_instance
 from choosability.gf import _MR_EXACT_BELOW as PSI_13
-from choosability.formats import loads_certificate, loads_instance
+from choosability.formats import (dumps_certificate, dumps_instance, loads_certificate,
+                                  loads_instance)
+from choosability.solver import colorable
 
 
 def run(capsys, *argv):
@@ -407,6 +412,66 @@ def test_verify_huge_cap_exits_0(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(inst_path), "--json")
     assert code == 0 and err == ""
     assert json.loads(out)["valid"] is True
+
+
+# -- loader fuzz -------------------------------------------------------------------
+
+def _loader_bases():
+    """(instance, certificate) JSON objects for the q=3, c=1 hard instance
+    with its Hall violator, and for its first nine lists with a coloring."""
+    hard = hard_instance(3, 1)
+    return [(json.loads(dumps_instance(inst)), json.loads(dumps_certificate(colorable(inst))))
+            for inst in (hard, replace(hard, n=9, lists=hard.lists[:-1], meta=None))]
+
+
+_JUNK = (st.none() | st.booleans() | st.floats() | st.integers(-2, 12)
+         | st.integers(-10 ** 400, 10 ** 400) | st.text(max_size=3)
+         | st.lists(st.lists(st.integers(-1, 12), max_size=3), max_size=3))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """A copy of `doc` with one to three mutations: a field or an array
+    entry, at any depth, deleted or replaced by junk. The walk steps into an
+    array three times in four, so entries deep in `lists` are reached often."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        if not doc:
+            break
+        parent, key = doc, draw(st.sampled_from(sorted(doc)))
+        while isinstance(parent[key], list) and parent[key] and draw(st.integers(0, 3)):
+            parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=200, deadline=2000, database=None)
+@given(st.sampled_from(_loader_bases()).flatmap(lambda pair: st.one_of(
+    st.tuples(_mutated(pair[0]), st.just(pair[1])),
+    st.tuples(st.just(pair[0]), _mutated(pair[1])),
+    st.tuples(_mutated(pair[0]), _mutated(pair[1])))))
+def test_loader_fuzz_exits_0_1_or_2_with_strict_json(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, cert_path = os.path.join(tmp, "inst.json"), os.path.join(tmp, "cert.json")
+        for path, doc in ((inst_path, docs[0]), (cert_path, docs[1])):
+            with open(path, "w") as handle:
+                json.dump(doc, handle)
+        for argv in (["solve", inst_path], ["verify", inst_path, cert_path],
+                     ["verify", inst_path, cert_path, "--json"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            if err.getvalue():  # an error exits 2 and writes nothing to stdout
+                assert code == 2 and out.getvalue() == "", argv
+                continue
+            # without an error only a failed verify check exits 2, with its report
+            assert code != 2 or argv[0] == "verify", argv
+            if argv[0] == "solve" or "--json" in argv:
+                json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
 def test_solve_output_is_deterministic(tmp_path, capsys):
