@@ -36,8 +36,6 @@ def _capped_search(search, *args):
     try:
         return search(*args, cap=cap)
     except oracle.SearchTooLarge as exc:
-        if f"exceeds cap {cap}" not in str(exc):
-            raise
         raise oracle.SearchTooLarge(
             f"{exc}; set CHOOSABILITY_SEARCH_CAP to raise the cap") from None
 

@@ -26,8 +26,7 @@ from .instances import ListAssignment
 
 
 class SearchTooLarge(ValueError):
-    """The search exceeds the configured cap on n * k, or a fixed limit that no
-    cap raises: n_max <= 5 in conjecture_probe, 8 vertices in list_colorable_graph."""
+    """The search's n * k exceeds the configured cap."""
 
 
 DEFAULT_SEARCH_CAP = 14  # refuse enumerations with n * k above this
@@ -42,14 +41,14 @@ class SmallGraph:
     n: int
     edges: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        for u, v in self.edges:
+            if not 0 <= u < v < self.n:
+                raise ValueError(f"bad edge ({u}, {v}) for {self.n} vertices")
+
     @classmethod
     def of(cls, n: int, edge_iter) -> "SmallGraph":
-        norm = set()
-        for u, v in edge_iter:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad edge ({u}, {v}) for {n} vertices")
-            norm.add((min(u, v), max(u, v)))
-        return cls(n, tuple(sorted(norm)))
+        return cls(n, tuple(sorted({(min(u, v), max(u, v)) for u, v in edge_iter})))
 
 
 def complete_graph(n: int) -> SmallGraph:
@@ -239,14 +238,12 @@ def _colorer(n: int, edges):
 
 
 def list_colorable_graph(graph: SmallGraph, assignment: ListAssignment) -> bool:
-    """Proper list-colorability of an arbitrary graph on n <= 8 vertices,
-    by `_colorer`'s backtracking. Raises ValueError when the assignment does
-    not have one list per vertex."""
+    """Proper list-colorability of an arbitrary graph, by `_colorer`'s
+    backtracking. Raises ValueError when the assignment does not have one
+    list per vertex."""
     if len(assignment.lists) != graph.n:
         raise ValueError(
             f"assignment has {len(assignment.lists)} lists for {graph.n} vertices")
-    if graph.n > 8:
-        raise SearchTooLarge(f"backtracking limited to 8 vertices, got {graph.n}")
     used = _colorer(graph.n, graph.edges)(assignment.lists)
     return not graph.n or (used is not None and not used.issuperset(assignment.lists[-1]))
 
@@ -281,10 +278,9 @@ def conjecture_probe(n_max: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> Pr
     complete graph on the same vertices; the report carries the witnessing
     assignment. Labeled-graph enumeration caps n_max at 5.
     """
-    if n_max < 1 or c < 0:
-        raise ValueError(f"need n_max >= 1 and c >= 0, got n_max={n_max}, c={c}")
-    if n_max > 5:
-        raise SearchTooLarge(f"probe enumerates all labeled graphs; n_max <= 5, got {n_max}")
+    if not 1 <= n_max <= 5 or c < 0:
+        raise ValueError(f"need 1 <= n_max <= 5 (the probe enumerates all labeled graphs) "
+                         f"and c >= 0, got n_max={n_max}, c={c}")
     complete_values: dict[int, int] = {}
     counterexample = None
     graphs_checked = 0

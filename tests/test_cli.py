@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,6 +328,67 @@ def test_probe_over_cap_exits_2(capsys):
     assert code == 2 and "n_max" in err
     # raising the search cap would not help here, so the variable is not named
     assert "CHOOSABILITY_SEARCH_CAP" not in err
+    # within n_max <= 5 the search cap refuses K_5 at k = 3, and it can be raised
+    code, out, err = run(capsys, "probe", "--nmax", "5", "--c", "1")
+    assert code == 2 and out == ""
+    assert "cap 14" in err and "CHOOSABILITY_SEARCH_CAP" in err
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _small_or_huge(draw, lo, hi):
+    """An integer in [lo, hi], or one time in four +-10**k +- 3 with k in
+    {6, 18, 25, 308, 400}."""
+    if draw(st.integers(0, 3)):
+        return draw(st.integers(lo, hi))
+    return (draw(st.sampled_from([1, -1])) * 10 ** draw(st.sampled_from([6, 18, 25, 308, 400]))
+            + draw(st.integers(-3, 3)))
+
+
+@st.composite
+def _oracle_and_construct_argv(draw):
+    """`construct`, `exact` or `probe` with small or huge arguments, and a
+    search cap that is unset, not an integer, or at most 14 (at 15,
+    `probe --nmax 5 --c 1` searches for about a minute and a half)."""
+    command = draw(st.sampled_from(["construct", "exact", "probe"]))
+    if command == "construct":
+        q, c = _small_or_huge(draw, -5, 40), _small_or_huge(draw, -5, 40)
+        argv = ["construct", "--q", str(q), "--c", str(c)]
+        tail = ["--format", "text"]
+    else:
+        n, c = _small_or_huge(draw, -5, 16), _small_or_huge(draw, -5, 16)
+        argv = [command, "--n" if command == "exact" else "--nmax", str(n), "--c", str(c)]
+        tail = ["--json"]
+    if draw(st.booleans()):
+        argv += tail
+    cap = draw(st.none()
+               | st.text(alphabet="0123456789abex+-_. ", max_size=5).filter(_not_an_int)
+               | st.integers(-5, 14).map(str))
+    return argv, cap
+
+
+@settings(max_examples=200, deadline=2000, database=None)
+@given(_oracle_and_construct_argv())
+def test_construct_exact_probe_fuzz_exit_0_or_2_with_strict_json(argv_cap):
+    argv, cap = argv_cap
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CHOOSABILITY_SEARCH_CAP", None)
+        if cap is not None:
+            os.environ["CHOOSABILITY_SEARCH_CAP"] = cap
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), (argv, cap, code)  # none of these commands exits 1
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), (argv, cap)
+    elif "--json" in argv or (argv[0] == "construct" and "text" not in argv):
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("argv, cap, reason", [

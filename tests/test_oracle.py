@@ -249,8 +249,36 @@ def test_list_colorable_graph_basics():
     edge = SmallGraph.of(2, [(0, 1)])
     assert not list_colorable_graph(edge, assignment_from_lists([(0,), (0,)], c=1))
     assert list_colorable_graph(edge, assignment_from_lists([(0,), (1,)], c=1))
-    with pytest.raises(SearchTooLarge):
-        list_colorable_graph(SmallGraph.of(9, []), assignment_from_lists([(0,)] * 9, c=1))
+
+
+def test_list_colorable_graph_answers_beyond_eight_vertices():
+    """Seeded random lists on 9..12 vertices: K_n agrees with the matching
+    solver and random graphs with the reference colorer, and both answers
+    occur on each."""
+    rng = random.Random(18)
+    seen = set()
+    for trial in range(400):
+        n = rng.randint(9, 12)
+        lists = [rng.sample(range(n), rng.randint(1, 4)) for _ in range(n)]
+        inst = assignment_from_lists(lists, c=4, num_colors=n)
+        if trial % 2:
+            want = solver.colorable(inst).colorable
+            got = list_colorable_graph(complete_graph(n), inst)
+        else:
+            edges = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            want = reference_colorer(n, edges)(inst.lists)
+            got = list_colorable_graph(SmallGraph.of(n, edges), inst)
+        assert got == want, (n, lists)
+        seen.add((trial % 2, want))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+
+@pytest.mark.parametrize("n, edges", [(3, ((-1, 0),)), (3, ((0, 5),)), (2, ((1, 1),)),
+                                      (3, ((1, 0),))],
+                         ids=["negative", "past-n", "self-loop", "unsorted"])
+def test_small_graph_rejects_bad_edges_when_made(n, edges):
+    with pytest.raises(ValueError, match="bad edge"):
+        SmallGraph(n, edges)
 
 
 def test_list_colorable_graph_needs_one_list_per_vertex():
@@ -374,5 +402,7 @@ def test_probe_three_vertices():
 
 
 def test_probe_cap():
-    with pytest.raises(SearchTooLarge):
+    # no search cap raises the labeled-graph limit, so it is not a SearchTooLarge
+    with pytest.raises(ValueError, match="n_max") as refusal:
         conjecture_probe(6, 1)
+    assert not isinstance(refusal.value, SearchTooLarge)

@@ -50,3 +50,19 @@ def test_imports_are_stdlib_or_package():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_search_too_large_is_built_only_for_the_cap():
+    """`cli._capped_search` tells every SearchTooLarge to raise
+    CHOOSABILITY_SEARCH_CAP, which is right only while the enumerator's
+    n * k check is the one place that builds one."""
+    path = SOURCES[0].parent / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def built(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id == "SearchTooLarge"]
+
+    (enumerator,) = [func for func in tree.body if isinstance(func, ast.FunctionDef)
+                     and func.name == "iter_canonical_assignments"]
+    assert built(enumerator) and len(built(tree)) == len(built(enumerator))
