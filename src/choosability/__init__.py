@@ -37,10 +37,10 @@ from .oracle import (
     ProbeReport,
     SearchTooLarge,
     SmallGraph,
+    chi_l_complete_search,
+    chi_l_graph_search,
     complete_graph,
     conjecture_probe,
-    exact_chi_l_complete,
-    exact_chi_l_graph,
     iter_canonical_assignments,
     list_colorable_graph,
 )

@@ -129,7 +129,9 @@ def vertex_count_bound(q: int, c: int) -> Fraction:
 
 def johnson_threshold(q: int, c: int) -> Fraction:
     """Alternative threshold q^2*(q+2) / (c*(q+1) - 1) obtained from
-    Johnson's bound; never exceeds vertex_count_bound."""
+    Johnson's bound; it never exceeds vertex_count_bound when q >= c-1, as
+    every admissible pair has, but can below (q=1, c=3 gives 3/5 against
+    1/2: see test_criterion_5_threshold_dominance_full_box_as_stated)."""
     if q < 1 or c < 1:
         raise ValueError(f"need q >= 1 and c >= 1, got q={q}, c={c}")
     den = c * (q + 1) - 1

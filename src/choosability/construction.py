@@ -14,8 +14,7 @@ n - 1 colors in total and is therefore not properly colorable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .bounds import check_admissible
 from .gf import FiniteField, OrderUnavailable
@@ -112,8 +111,6 @@ class ClassSpace:
         return tuple(sorted({self.class_of(x, fld.mul(slope, x)) for x in range(1, fld.q)}))
 
 
-# one slot: the only repeat lookups are the two within each hard_instance call
-@lru_cache(maxsize=1)
 def _space(q: int, c: int) -> ClassSpace:
     if c < 1:
         raise OrderUnavailable(f"the cap c must be a positive divisor of q - 1, got c={c}")
@@ -138,47 +135,36 @@ def furedi_hypergraph(q: int, c: int) -> ListAssignment:
     return ListAssignment(n=len(edges), k=q, c=c, num_colors=len(edges), lists=edges)
 
 
-def augmented_hypergraph(q: int, c: int) -> ListAssignment:
-    """The hypergraph above plus one fresh vertex and two bundle edges.
+def hard_instance(q: int, c: int) -> ListAssignment:
+    """A (q,c)-valid list assignment on K_n, n = (q^2-1)/c + 2, with only
+    n-1 colors in total, hence not properly colorable.
 
+    It is the hypergraph above plus one fresh vertex and two bundle edges,
+    with the field it was built over recorded in `meta`: vertex i of K_n
+    receives edge i, the class edges in id order, then the two bundles.
     Each bundle is the fresh vertex together with c origin lines of
     consecutive slopes (field indices 0..c-1, then c..2c-1), which keeps
     the edges q-uniform and pairwise intersections within c while making
     the edge count exceed the vertex count by one.
     """
     check_admissible(q, c)
-    base = furedi_hypergraph(q, c)
     space = _space(q, c)
-    fresh = base.num_colors
-    bundles = []
+    fresh = len(space.reps)
+    edges = [space.list_of_class(i) for i in range(fresh)]
     for start in (0, c):
         members = {fresh}
         for slope in range(start, start + c):
             members.update(space.origin_line(slope))
-        bundles.append(tuple(sorted(members)))
-    edges = base.lists + tuple(bundles)
-    return ListAssignment(n=len(edges), k=q, c=c, num_colors=fresh + 1, lists=edges)
+        edges.append(tuple(sorted(members)))
+    fld = space.field
+    return ListAssignment(
+        n=len(edges), k=q, c=c, num_colors=fresh + 1, lists=tuple(edges),
+        meta={"q": q, "c": c, "p": fld.p, "m": fld.m,
+              "modulus": list(fld.modulus) if fld.modulus is not None else None,
+              "construction": "furedi-augmented"})
 
 
-def hard_instance(q: int, c: int) -> ListAssignment:
-    """A (q,c)-valid list assignment on K_n, n = (q^2-1)/c + 2, with only
-    n-1 colors in total, hence not properly colorable.
-
-    It is the augmented hypergraph (vertex i of K_n receives edge i: the
-    class edges in id order, then the two bundles) with the field it was
-    built over recorded in `meta`.
-    """
-    # the augmented hypergraph checks admissibility before the field is built
-    design = augmented_hypergraph(q, c)
-    fld = _space(q, c).field
-    return replace(design, meta={
-        "q": q,
-        "c": c,
-        "p": fld.p,
-        "m": fld.m,
-        "modulus": list(fld.modulus) if fld.modulus is not None else None,
-        "construction": "furedi-augmented",
-    })
+augmented_hypergraph = hard_instance
 
 
 # -- design verification -------------------------------------------------------

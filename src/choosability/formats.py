@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 
 from .instances import ListAssignment
 from .solver import ColorabilityResult
@@ -139,17 +140,27 @@ def loads_certificate(text: str) -> ColorabilityResult:
 # -- files ------------------------------------------------------------------------
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory plus rename, so a
-    failed run never leaves a partial output file. The file is created with
-    mode 0o666 less the umask, as `open` would create it."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    """Write via a temp file in the target directory plus rename over the
+    file a symlink names, so a failed run never leaves a partial output
+    file; a target that exists but is not a regular file (a FIFO, a device,
+    /dev/stdout) is written in place. A new file is created with mode 0o666
+    less the umask, as `open` would create it."""
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w") as handle:
+            handle.write(text)
+        return
+    target = os.path.realpath(path)
+    tmp_path = os.path.join(os.path.dirname(target), f".tmp-{os.urandom(8).hex()}")
     try:
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
-            os.replace(tmp_path, path)
+            os.replace(tmp_path, target)
         except BaseException:
             try:
                 os.unlink(tmp_path)

@@ -183,10 +183,6 @@ def chi_l_complete_search(n: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> C
     return _chi_search(n, c, None, cap)
 
 
-def exact_chi_l_complete(n: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> int:
-    return chi_l_complete_search(n, c, cap=cap).chi_l
-
-
 def _colorer(n: int, edges):
     """`forced(lists)` for the graph G on n vertices with these edges (None
     for the complete graph), built once per enumeration. With w = n-1 it is
@@ -254,6 +250,7 @@ def chi_l_graph_search(graph: SmallGraph, c: int, *, cap: int = DEFAULT_SEARCH_C
     return _chi_search(graph.n, c, graph.edges, cap)
 
 
+# the benchmark's golden-table script (perfbench/make_golden.py) calls this name
 def exact_chi_l_graph(graph: SmallGraph, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> int:
     return chi_l_graph_search(graph, c, cap=cap).chi_l
 
@@ -286,17 +283,16 @@ def conjecture_probe(n_max: int, c: int, *, cap: int = DEFAULT_SEARCH_CAP) -> Pr
     graphs_checked = 0
     assignments_checked = 0
     for n in range(1, n_max + 1):
-        k0 = exact_chi_l_complete(n, c, cap=cap)
+        k0 = chi_l_complete_search(n, c, cap=cap).chi_l
         complete_values[n] = k0
         all_pairs = list(itertools.combinations(range(n), 2))
         for bits in range(1 << len(all_pairs)):
             edges = tuple(pair for i, pair in enumerate(all_pairs) if bits >> i & 1)
-            graph = SmallGraph(n, edges)
             graphs_checked += 1
             bad, examined = _first_uncolorable(n, k0, c, edges, cap)
             assignments_checked += examined
             if bad is not None:
-                counterexample = (graph, bad)
+                counterexample = (SmallGraph(n, edges), bad)
                 break
         if counterexample is not None:
             break

@@ -16,8 +16,8 @@ from choosability.cli import main
 from choosability.construction import furedi_hypergraph, hard_instance, verify_design
 from choosability.instances import assignment_from_lists
 from choosability.oracle import (
+    chi_l_complete_search,
     complete_graph,
-    exact_chi_l_complete,
     iter_canonical_assignments,
     list_colorable_graph,
 )
@@ -119,7 +119,7 @@ def test_criterion_4_oracle_ground_truth():
     cases = [(2, 1, 2, 14), (3, 1, 2, 14), (4, 1, 2, 14), (5, 1, 3, 15), (3, 2, 3, 14)]
     for n, c, expected, cap in cases:
         start = time.perf_counter()
-        value = exact_chi_l_complete(n, c, cap=cap)
+        value = chi_l_complete_search(n, c, cap=cap).chi_l
         elapsed = time.perf_counter() - start
         if value != expected:
             failures.append((n, c, f"chi {value} != {expected}"))

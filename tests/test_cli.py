@@ -95,6 +95,31 @@ def test_failed_out_names_the_given_path(tmp_path, capsys, target):
     assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
+def test_out_writes_into_a_fifo(tmp_path, capsys):
+    expected = run(capsys, "construct", "--q", "3", "--c", "1")[1].encode()
+    assert len(expected) == 227
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, "construct", "--q", "3", "--c", "1", "--out", str(fifo))[0] == 0
+        assert os.read(reader, 4096) == expected
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_out_through_a_symlink_keeps_the_link(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("")
+    link.symlink_to(target)
+    assert run(capsys, "construct", "--q", "3", "--c", "1", "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert loads_instance(target.read_text()) == hard_instance(3, 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
 # -- solve ----------------------------------------------------------------------
 
 def test_solve_hard_instance_exits_1_with_certificate(tmp_path, capsys):

@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from choosability import solver
+from choosability import construction, solver
 from choosability.bounds import AdmissibilityViolated
 from choosability.construction import (
     ClassSpace,
+    InstanceTooLarge,
     ZeroPair,
     augmented_hypergraph,
     furedi_hypergraph,
@@ -227,11 +228,33 @@ def test_hypergraphs_are_list_assignments():
     for q, c in [(3, 1), (5, 2), (9, 4)]:
         base, augmented = furedi_hypergraph(q, c), augmented_hypergraph(q, c)
         assert (base.n, base.k, base.c, base.num_colors) == (len(base.lists), q, c, base.n)
-        assert (augmented.k, augmented.c, augmented.meta) == (q, c, None)
+        assert (augmented.k, augmented.c, augmented.meta["q"]) == (q, c, q)
         assert augmented.lists[:-2] == base.lists
         assert augmented.num_colors == augmented.n - 1 == base.n + 1
-        inst = hard_instance(q, c)
-        assert inst == replace(augmented, meta=inst.meta)
+
+
+def test_augmented_hypergraph_is_the_hard_instance():
+    assert augmented_hypergraph is hard_instance
+    for q, c in ADMISSIBLE_16:
+        assert hard_instance(q, c) == augmented_hypergraph(q, c)
+
+
+class _FieldBuilt(Exception):
+    pass
+
+
+def test_instance_cap_is_checked_before_the_field(monkeypatch):
+    """At c = 1 the largest field under the 2**22-entry cap is q = 157:
+    n*q is 3,870,050 there and 4,330,910 at the next prime, q = 163."""
+    def refuse(q):
+        raise _FieldBuilt(q)
+
+    monkeypatch.setattr(construction, "FiniteField", refuse)
+    for build in (hard_instance, furedi_hypergraph):
+        with pytest.raises(InstanceTooLarge, match="4194304"):
+            build(163, 1)
+    with pytest.raises(_FieldBuilt):
+        hard_instance(157, 1)
 
 
 def test_hard_instance_valid_and_one_color_short():

@@ -10,11 +10,10 @@ from choosability.instances import assignment_from_lists
 from choosability.oracle import (
     SearchTooLarge,
     SmallGraph,
+    chi_l_complete_search,
+    chi_l_graph_search,
     complete_graph,
     conjecture_probe,
-    exact_chi_l_complete,
-    exact_chi_l_graph,
-    chi_l_complete_search,
     iter_canonical_assignments,
     list_colorable_graph,
 )
@@ -205,17 +204,17 @@ def test_enumeration_cap_is_a_refusal():
     with pytest.raises(SearchTooLarge):
         iter_canonical_assignments(5, 3, 1)
     with pytest.raises(SearchTooLarge):
-        exact_chi_l_complete(5, 1)  # needs k=3, over the default cap
-    assert exact_chi_l_complete(5, 1, cap=15) == 3
+        chi_l_complete_search(5, 1)  # needs k=3, over the default cap
+    assert chi_l_complete_search(5, 1, cap=15).chi_l == 3
 
 
 # -- exact values on complete graphs ------------------------------------------------
 
 def test_exact_chi_l_complete_small_values():
-    assert exact_chi_l_complete(2, 1) == 2
-    assert exact_chi_l_complete(3, 1) == 2
-    assert exact_chi_l_complete(4, 1) == 2
-    assert exact_chi_l_complete(3, 2) == 3
+    assert chi_l_complete_search(2, 1).chi_l == 2
+    assert chi_l_complete_search(3, 1).chi_l == 2
+    assert chi_l_complete_search(4, 1).chi_l == 2
+    assert chi_l_complete_search(3, 2).chi_l == 3
 
 
 def test_search_reports_witness_and_count():
@@ -232,12 +231,12 @@ def test_ceiling_when_cap_allows_identical_lists():
     # K_4 at k=4 needs n*k = 16, so raise the cap accordingly
     for n in (2, 3, 4):
         for c in (n - 1, n):
-            assert exact_chi_l_complete(n, c, cap=16) == n
+            assert chi_l_complete_search(n, c, cap=16).chi_l == n
 
 
 def test_monotone_in_separation_cap():
     for n in (2, 3, 4):
-        values = [exact_chi_l_complete(n, c, cap=16) for c in range(0, n + 1)]
+        values = [chi_l_complete_search(n, c, cap=16).chi_l for c in range(0, n + 1)]
         assert values == sorted(values)
 
 
@@ -351,15 +350,16 @@ def test_exact_complete_does_not_call_matching_solver(monkeypatch):
              (3, 0): 1, (3, 1): 2, (3, 2): 3, (3, 3): 3,
              (4, 0): 1, (4, 1): 2, (4, 2): 3, (4, 3): 4}
     for (n, c), value in known.items():
-        assert exact_chi_l_complete(n, c, cap=16) == value, (n, c)
+        assert chi_l_complete_search(n, c, cap=16).chi_l == value, (n, c)
 
 
 def test_exact_chi_l_graph_examples():
     path3 = SmallGraph.of(3, [(0, 1), (1, 2)])
-    assert exact_chi_l_graph(path3, 1) == 2
-    assert exact_chi_l_graph(SmallGraph.of(4, []), 1) == 1
+    assert chi_l_graph_search(path3, 1).chi_l == 2
+    assert chi_l_graph_search(SmallGraph.of(4, []), 1).chi_l == 1
     for n in (1, 2, 3):
-        assert exact_chi_l_graph(complete_graph(n), 1) == exact_chi_l_complete(n, 1)
+        assert (chi_l_graph_search(complete_graph(n), 1).chi_l
+                == chi_l_complete_search(n, 1).chi_l)
 
 
 def _all_labeled_graphs(n):
@@ -374,7 +374,7 @@ def test_induced_subgraph_monotonicity():
     def chi(graph, c):
         key = (graph.n, graph.edges, c)
         if key not in cache:
-            cache[key] = exact_chi_l_graph(graph, c)
+            cache[key] = chi_l_graph_search(graph, c).chi_l
         return cache[key]
 
     for graph in _all_labeled_graphs(4):

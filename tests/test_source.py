@@ -66,3 +66,26 @@ def test_search_too_large_is_built_only_for_the_cap():
     (enumerator,) = [func for func in tree.body if isinstance(func, ast.FunctionDef)
                      and func.name == "iter_canonical_assignments"]
     assert built(enumerator) and len(built(tree)) == len(built(enumerator))
+
+
+def test_lru_cache_only_in_bounds():
+    """`bounds` remembers its two prime searches, which `bounds --range`
+    repeats; a cache anywhere else must first show traffic that repeats,
+    and the benchmark's fresh imports assume every other module starts
+    without remembered state."""
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        if path.name == "bounds.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("lru_cache", "cache")]
+    assert found == []
