@@ -31,7 +31,7 @@ from .construction import (
     hard_instance,
     verify_design,
 )
-from .gf import FiniteField, NotPrimePower, OrderUnavailable, ZeroHasNoOrder
+from .gf import FiniteField, NotPrimePower, OrderUnavailable
 from .instances import ListAssignment, assignment_from_lists
 from .oracle import (
     ProbeReport,

@@ -40,17 +40,20 @@ class ClassSpace:
 
     A class is an int id; `reps[i]` is the lexicographically smallest pair
     of class i, and ids number the classes in order of those pairs.
-    Precomputes the subgroup H and the class id of every nonzero pair
-    (a, b) at index a*q + b of one flat table, so membership and incidence
-    queries are list lookups. Immutable once built.
+    Requires c | q - 1. Precomputes the subgroup H and the class id of
+    every nonzero pair (a, b) at index a*q + b of one flat table, so
+    membership and incidence queries are list lookups. Immutable once built.
     """
 
     def __init__(self, fld: FiniteField, c: int):
         q = fld.q
+        if c < 1 or (q - 1) % c:
+            raise OrderUnavailable(
+                f"no element of order {c} in GF({q}): {c} does not divide {q - 1}")
         self.field = fld
         self.c = c
-        gen = fld.element_of_order(c)
-        self.subgroup = frozenset(fld.pow(gen, i) for i in range(c))
+        # GF(q)* is cyclic, so its one subgroup of order c is the c-th roots of unity
+        self.subgroup = frozenset(x for x in range(1, q) if fld.pow(x, c) == 1)
 
         # scanning pairs in lexicographic order meets every orbit first at
         # its smallest member, so classes come out in representative order;

@@ -143,13 +143,15 @@ def write_atomic(path: str, text: str) -> None:
     """Write via a temp file in the target directory plus rename over the
     file a symlink names, so a failed run never leaves a partial output
     file; a target that exists but is not a regular file (a FIFO, a device,
-    /dev/stdout) is written in place. A new file is created with mode 0o666
-    less the umask, as `open` would create it."""
+    /dev/stdout) is written in place. A new file gets mode 0o666 less the
+    umask, as `open` would make it; a replaced file keeps its permission
+    bits, and a second hard link to it keeps the old bytes, since the rename
+    is what makes the write atomic."""
     try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
-        in_place = False
-    if in_place:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w") as handle:
             handle.write(text)
         return
@@ -159,6 +161,8 @@ def write_atomic(path: str, text: str) -> None:
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
+                if mode is not None:
+                    os.fchmod(fd, mode & 0o777)
                 handle.write(text)
             os.replace(tmp_path, target)
         except BaseException:

@@ -12,15 +12,10 @@ derived artifact reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-import math
 
 
 class NotPrimePower(ValueError):
     """The requested field order is not p^m for a prime p."""
-
-
-class ZeroHasNoOrder(ValueError):
-    """The multiplicative order of the zero element was requested."""
 
 
 class OrderUnavailable(ValueError):
@@ -132,9 +127,6 @@ class FiniteField:
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, x: int) -> None:
@@ -168,31 +160,6 @@ class FiniteField:
         if x == 0:
             return 1 if e == 0 else 0
         return self._exp[self._log[x] * e % (self.q - 1)]
-
-    # -- multiplicative structure -------------------------------------------
-
-    def element_order(self, x: int) -> int:
-        """Smallest t >= 1 with x**t == 1; always divides q - 1."""
-        self._check(x)
-        if x == 0:
-            raise ZeroHasNoOrder("0 is not in the multiplicative group")
-        # x = g**log(x) for the primitive g, whose order is q - 1
-        return (self.q - 1) // math.gcd(self._log[x], self.q - 1)
-
-    def element_of_order(self, c: int) -> int:
-        """Smallest-index element of multiplicative order exactly c.
-
-        Requires c | q - 1; the powers of the result form the unique
-        subgroup of size c of the multiplicative group.
-        """
-        if c < 1 or (self.q - 1) % c != 0:
-            raise OrderUnavailable(
-                f"no element of order {c} in GF({self.q}): {c} does not divide {self.q - 1}"
-            )
-        for x in range(1, self.q):
-            if self.element_order(x) == c:
-                return x
-        raise AssertionError("unreachable: cyclic group has elements of every dividing order")
 
     # -- internals -----------------------------------------------------------
 

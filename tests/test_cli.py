@@ -13,7 +13,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from choosability.cli import main
 from choosability.construction import hard_instance
@@ -118,6 +118,51 @@ def test_out_through_a_symlink_keeps_the_link(tmp_path, capsys):
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert loads_instance(target.read_text()) == hard_instance(3, 1)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+@pytest.mark.parametrize("via_link", [False, True])
+def test_out_keeps_the_mode_of_a_replaced_file(tmp_path, capsys, via_link):
+    target, link = tmp_path / "private.json", tmp_path / "link.json"
+    target.write_text("old")
+    target.chmod(0o600)
+    link.symlink_to(target)
+    umask = os.umask(0o022)
+    try:
+        argv = ("construct", "--q", "3", "--c", "1", "--out", str(link if via_link else target))
+        assert run(capsys, *argv)[0] == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert len(target.read_bytes()) == 227
+    assert loads_instance(target.read_text()) == hard_instance(3, 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "private.json"]
+
+
+# path components for --out; ".." is left out so every path stays inside tmp_path
+_NAME_PARTS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0/"),
+            min_size=1, max_size=12).filter(lambda name: name != ".."),
+    st.sampled_from(["a b", "ünïcödé", "名前", "x" * 300, "dir", "dir/sub", "missing/x",
+                     ".", "file.json"]),
+)
+
+
+@settings(max_examples=100, deadline=2000, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(parts=st.lists(_NAME_PARTS, min_size=1, max_size=3))
+def test_out_fuzzed_paths_exit_0_or_2_without_leftovers(tmp_path, parts):
+    root = tempfile.mkdtemp(dir=tmp_path)  # a fresh directory per example
+    os.makedirs(os.path.join(root, "dir", "sub"))
+    with open(os.path.join(root, "file.json"), "w") as handle:
+        handle.write("old")
+    path = os.path.join(root, *parts)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["construct", "--q", "3", "--c", "1", f"--out={path}"])
+    assert code in (0, 2), (path, code)
+    assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+    assert (err.getvalue() == "") == (code == 0), (path, err.getvalue())
+    assert list(tmp_path.rglob(".tmp-*")) == []
 
 
 # -- solve ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from choosability.construction import (
     hard_instance,
     verify_design,
 )
-from choosability.gf import FiniteField, OrderUnavailable
+from choosability.gf import FiniteField, NotPrimePower, OrderUnavailable
 from conftest import ADMISSIBLE_16
 
 
@@ -33,9 +33,22 @@ def test_class_counts():
 
 def test_orbit_structure():
     for q, c in ADMISSIBLE_16:
-        space = ClassSpace(FiniteField(q), c)
+        fld = FiniteField(q)
+        space = ClassSpace(fld, c)
         assert len(space.reps) * c == q * q - 1
         assert len(space.subgroup) == c
+        assert 1 in space.subgroup
+        assert {fld.mul(s, t) for s in space.subgroup for t in space.subgroup} == space.subgroup
+
+
+def test_class_space_requires_cap_dividing_group_order():
+    with pytest.raises(OrderUnavailable):
+        ClassSpace(FiniteField(7), 5)  # 5 does not divide 6
+    with pytest.raises(OrderUnavailable):
+        furedi_hypergraph(7, 4)  # 4 does not divide 6
+    # the field is built before the class space checks c
+    with pytest.raises(NotPrimePower):
+        furedi_hypergraph(6, 1)
 
 
 def test_class_of_examples():

@@ -9,8 +9,6 @@ import pytest
 from choosability.gf import (
     FiniteField,
     NotPrimePower,
-    OrderUnavailable,
-    ZeroHasNoOrder,
     factor_prime_power,
     iroot,
 )
@@ -145,7 +143,7 @@ def test_gf4_extension_multiplication():
 def test_additive_inverse_everywhere():
     for q in PRIME_POWERS_16:
         field = FiniteField(q)
-        for x in field.elements():
+        for x in range(field.q):
             assert field.add(x, field.neg(x)) == 0
 
 
@@ -180,7 +178,7 @@ def _check_laws(field, triples):
 @pytest.mark.parametrize("q", PRIME_POWERS_16)
 def test_field_laws_exhaustive_small(q):
     field = FiniteField(q)
-    _check_laws(field, itertools.product(field.elements(), repeat=3))
+    _check_laws(field, itertools.product(range(field.q), repeat=3))
 
 
 @pytest.mark.parametrize("q", prime_powers_between(17, 256))
@@ -221,7 +219,7 @@ def _check_mul_is_polynomial_product(field, pairs):
 @pytest.mark.parametrize("q", prime_powers_between(2, 32))
 def test_mul_is_polynomial_product_exhaustive_small(q):
     field = FiniteField(q)
-    _check_mul_is_polynomial_product(field, itertools.product(field.elements(), repeat=2))
+    _check_mul_is_polynomial_product(field, itertools.product(range(field.q), repeat=2))
 
 
 @pytest.mark.parametrize("q", prime_powers_between(33, 256))
@@ -262,45 +260,19 @@ def test_pow_of_zero():
         assert field.pow(0, 3) == 0
 
 
-# -- multiplicative orders -------------------------------------------------------
-
-def test_element_order_gf5():
-    field = FiniteField(5)
-    assert field.element_order(4) == 2  # 4^2 = 16 = 1 mod 5
-    assert field.element_order(2) == 4  # powers 2, 4, 3, 1
-    assert field.element_order(1) == 1
-
-
-def test_zero_has_no_order():
-    with pytest.raises(ZeroHasNoOrder):
-        FiniteField(7).element_order(0)
-
+# -- multiplicative structure ---------------------------------------------------
 
 def test_orders_divide_group_order_and_counts_match_totient():
+    """GF(q)* is cyclic: for every c | q - 1, exactly c nonzero x have
+    x^c = 1 (the set `ClassSpace` takes as its subgroup H of order c), and
+    totient(c) of them have order exactly c."""
     for q in prime_powers_between(2, 64):
         field = FiniteField(q)
-        counts = {}
+        divisors = [c for c in range(1, q) if (q - 1) % c == 0]
+        orders = {}
         for x in range(1, q):
-            order = field.element_order(x)
-            assert (q - 1) % order == 0
-            counts[order] = counts.get(order, 0) + 1
-        for c in range(1, q):
-            if (q - 1) % c == 0:
-                assert counts.get(c, 0) == totient(c)
-
-
-def test_element_of_order():
-    assert FiniteField(5).element_of_order(2) == 4
-    assert FiniteField(5).element_of_order(1) == 1
-    assert FiniteField(9).element_of_order(1) == 1
-    with pytest.raises(OrderUnavailable):
-        FiniteField(7).element_of_order(5)  # 5 does not divide 6
-
-
-def test_element_of_order_is_smallest_index():
-    for q, c in [(7, 2), (7, 3), (9, 4), (13, 4), (16, 5)]:
-        field = FiniteField(q)
-        found = field.element_of_order(c)
-        for x in range(1, found):
-            assert field.element_order(x) != c
-        assert field.element_order(found) == c
+            order = next(d for d in divisors if field.pow(x, d) == 1)
+            orders[order] = orders.get(order, 0) + 1
+        for c in divisors:
+            assert sum(field.pow(x, c) == 1 for x in range(1, q)) == c, (q, c)
+            assert orders.get(c, 0) == totient(c), (q, c)

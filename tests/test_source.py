@@ -89,3 +89,18 @@ def test_lru_cache_only_in_bounds():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name in ("lru_cache", "cache")]
     assert found == []
+
+
+def test_finite_field_methods_all_have_callers():
+    """`FiniteField` is the arithmetic the construction needs, not a general
+    field library: every public method is called as an attribute from
+    another module of the package."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    (field_class,) = [node for node in trees["gf.py"].body
+                      if isinstance(node, ast.ClassDef) and node.name == "FiniteField"]
+    public = {node.name for node in field_class.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = {node.func.attr for name, tree in trees.items() if name != "gf.py"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert public and sorted(public - called) == []
