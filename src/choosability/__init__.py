@@ -11,7 +11,6 @@ from .bounds import (
     AdmissibilityViolated,
     BoundsReport,
     ExactWindow,
-    admissible_prime_powers,
     bounds_report,
     exact_window,
     is_admissible,
@@ -25,14 +24,12 @@ from .bounds import (
 from .construction import (
     ClassSpace,
     DesignReport,
-    ZeroPair,
     augmented_hypergraph,
-    furedi_hypergraph,
     hard_instance,
     verify_design,
 )
 from .gf import FiniteField, NotPrimePower, OrderUnavailable
-from .instances import ListAssignment, assignment_from_lists
+from .instances import ListAssignment
 from .oracle import (
     ProbeReport,
     SearchTooLarge,

@@ -57,14 +57,7 @@ def check_admissible(q: int, c: int) -> None:
         )
 
 
-# -- admissible prime powers and integer roots --------------------------------
-
-def admissible_prime_powers(c: int, q_max: int) -> list[int]:
-    """All prime powers q <= q_max with c | q-1 and c < q-1, ascending."""
-    if c < 1:
-        raise ValueError(f"separation cap must be positive, got c={c}")
-    return [q for q in range(c + 1, q_max + 1, c) if is_admissible(q, c)]
-
+# -- prime searches and integer roots -----------------------------------------
 
 def _largest_one_mod_c(hi: int, lo: int, c: int, accept) -> int | None:
     """Largest q in [lo, hi] with q = 1 (mod c) and accept(q), else None."""

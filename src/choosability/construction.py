@@ -27,10 +27,6 @@ from .solver import entry_columns, overlap_planes
 MAX_LIST_ENTRIES = 2 ** 22
 
 
-class ZeroPair(ValueError):
-    """(0, 0) has no equivalence class."""
-
-
 class InstanceTooLarge(ValueError):
     """The instance for (q, c) would hold more than MAX_LIST_ENTRIES list entries."""
 
@@ -41,8 +37,9 @@ class ClassSpace:
     A class is an int id; `reps[i]` is the lexicographically smallest pair
     of class i, and ids number the classes in order of those pairs.
     Requires c | q - 1. Precomputes the subgroup H and the class id of
-    every nonzero pair (a, b) at index a*q + b of one flat table, so
-    membership and incidence queries are list lookups. Immutable once built.
+    every nonzero pair (a, b) at index a*q + b of one flat table, so the
+    two queries, `list_of_class` and `origin_line`, are list lookups.
+    Immutable once built.
     """
 
     def __init__(self, fld: FiniteField, c: int):
@@ -73,14 +70,6 @@ class ClassSpace:
         self._class_id = class_id
         self.reps = tuple(reps)
 
-    def class_of(self, a: int, b: int) -> int:
-        q = self.field.q
-        if not (0 <= a < q and 0 <= b < q):
-            raise ValueError(f"({a}, {b}) is not a pair of elements of GF({q})")
-        if a == 0 and b == 0:
-            raise ZeroPair("(0, 0) does not belong to any class")
-        return self._class_id[a * q + b]
-
     def list_of_class(self, i: int) -> tuple[int, ...]:
         """The ids of the q classes <x,y> with a*x + b*y in H, (a, b) = reps[i],
         in increasing order.
@@ -110,48 +99,35 @@ class ClassSpace:
     def origin_line(self, slope: int) -> tuple[int, ...]:
         """The ids of the (q-1)/c classes of the punctured line y = slope * x,
         in increasing order."""
-        fld = self.field
-        return tuple(sorted({self.class_of(x, fld.mul(slope, x)) for x in range(1, fld.q)}))
+        fld, class_id = self.field, self._class_id
+        return tuple(sorted({class_id[x * fld.q + fld.mul(slope, x)] for x in range(1, fld.q)}))
 
 
-def _space(q: int, c: int) -> ClassSpace:
-    if c < 1:
-        raise OrderUnavailable(f"the cap c must be a positive divisor of q - 1, got c={c}")
-    entries = ((q * q - 1) // c + 2) * q
-    if entries > MAX_LIST_ENTRIES:
-        raise InstanceTooLarge(
-            f"the (q={q}, c={c}) instance would hold n*q = {entries} list entries, "
-            f"above the limit of {MAX_LIST_ENTRIES} (2**22)"
-        )
-    return ClassSpace(FiniteField(q), c)
-
-
-# -- hypergraphs and the hard instance ---------------------------------------
+# -- the hard instance ---------------------------------------------------------
 # a hypergraph is a ListAssignment: edge i is list i, and its vertices are
 # the colors [0, num_colors), so the hard instance reads its edges as lists
-
-def furedi_hypergraph(q: int, c: int) -> ListAssignment:
-    """The q-uniform hypergraph on class ids whose edge i is the incidence
-    list of class i: (q^2-1)/c vertices and edges, intersections <= c."""
-    space = _space(q, c)
-    edges = tuple(space.list_of_class(i) for i in range(len(space.reps)))
-    return ListAssignment(n=len(edges), k=q, c=c, num_colors=len(edges), lists=edges)
-
 
 def hard_instance(q: int, c: int) -> ListAssignment:
     """A (q,c)-valid list assignment on K_n, n = (q^2-1)/c + 2, with only
     n-1 colors in total, hence not properly colorable.
 
-    It is the hypergraph above plus one fresh vertex and two bundle edges,
-    with the field it was built over recorded in `meta`: vertex i of K_n
-    receives edge i, the class edges in id order, then the two bundles.
+    It is the Füredi hypergraph, whose edge i is the incidence list of
+    class i, plus one fresh vertex and two bundle edges, with the field it
+    was built over recorded in `meta`: vertex i of K_n receives edge i,
+    the class edges in id order, then the two bundles.
     Each bundle is the fresh vertex together with c origin lines of
     consecutive slopes (field indices 0..c-1, then c..2c-1), which keeps
     the edges q-uniform and pairwise intersections within c while making
     the edge count exceed the vertex count by one.
     """
     check_admissible(q, c)
-    space = _space(q, c)
+    entries = ((q * q - 1) // c + 2) * q
+    if entries > MAX_LIST_ENTRIES:
+        raise InstanceTooLarge(
+            f"the (q={q}, c={c}) instance would hold n*q = {entries} list entries, "
+            f"above the limit of {MAX_LIST_ENTRIES} (2**22)"
+        )
+    space = ClassSpace(FiniteField(q), c)
     fresh = len(space.reps)
     edges = [space.list_of_class(i) for i in range(fresh)]
     for start in (0, c):

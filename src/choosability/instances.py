@@ -25,18 +25,3 @@ class ListAssignment:
     lists: tuple[tuple[int, ...], ...]
     meta: dict | None = None
 
-
-def assignment_from_lists(lists, c: int, num_colors: int | None = None,
-                          k: int | None = None, meta: dict | None = None) -> ListAssignment:
-    """Build a ListAssignment from an iterable of color iterables.
-
-    Lists are deduplicated and sorted. When omitted, k is taken from the
-    first list and num_colors from the largest color id present.
-    """
-    norm = tuple(tuple(sorted(set(lst))) for lst in lists)
-    if k is None:
-        k = len(norm[0]) if norm else 0
-    if num_colors is None:
-        num_colors = 1 + max((lst[-1] for lst in norm if lst), default=-1)
-    return ListAssignment(n=len(norm), k=k, c=c, num_colors=num_colors,
-                          lists=norm, meta=meta)

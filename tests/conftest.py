@@ -1,4 +1,4 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and instance builders for the test suite.
 
 These deliberately re-derive results through different algorithms than the
 package uses (augmenting-path matching instead of Hopcroft-Karp, trial
@@ -24,7 +24,9 @@ from choosability.bounds import (
     is_admissible,
     is_prime,
 )
-from choosability.construction import DesignReport
+from choosability.construction import ClassSpace, DesignReport
+from choosability.gf import FiniteField
+from choosability.instances import ListAssignment
 from choosability.oracle import iter_canonical_assignments
 from choosability.solver import ValidityReport
 
@@ -32,6 +34,44 @@ from choosability.solver import ValidityReport
 # acceptance criteria name
 ADMISSIBLE_16 = [(q, c) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16)
                  for c in range(1, q - 1) if (q - 1) % c == 0]
+
+
+def admissible_prime_powers(c: int, q_max: int) -> list[int]:
+    """All prime powers q <= q_max with c | q-1 and c < q-1, ascending."""
+    return [q for q in range(c + 1, q_max + 1, c) if is_admissible(q, c)]
+
+
+def assignment_from_lists(lists, c: int, num_colors: int | None = None,
+                          k: int | None = None, meta: dict | None = None) -> ListAssignment:
+    """Build a ListAssignment from an iterable of color iterables.
+
+    Lists are deduplicated and sorted. When omitted, k is taken from the
+    first list and num_colors from the largest color id present.
+    """
+    norm = tuple(tuple(sorted(set(lst))) for lst in lists)
+    if k is None:
+        k = len(norm[0]) if norm else 0
+    if num_colors is None:
+        num_colors = 1 + max((lst[-1] for lst in norm if lst), default=-1)
+    return ListAssignment(n=len(norm), k=k, c=c, num_colors=num_colors,
+                          lists=norm, meta=meta)
+
+
+def furedi_hypergraph(q: int, c: int) -> ListAssignment:
+    """The q-uniform hypergraph on class ids whose edge i is the incidence
+    list of class i: (q^2-1)/c vertices and edges, intersections <= c.
+    Needs only c | q-1, so it also covers c = q-1, which `hard_instance`
+    refuses."""
+    space = ClassSpace(FiniteField(q), c)
+    edges = tuple(space.list_of_class(i) for i in range(len(space.reps)))
+    return ListAssignment(n=len(edges), k=q, c=c, num_colors=len(edges), lists=edges)
+
+
+def class_of(space: ClassSpace, a: int, b: int) -> int:
+    """The id of the class of the nonzero pair (a, b): the index in
+    `space.reps` of the smallest pair of its orbit under the subgroup."""
+    fld = space.field
+    return space.reps.index(min((fld.mul(t, a), fld.mul(t, b)) for t in space.subgroup))
 
 
 def kuhn_matching_size(adj, n_left: int, n_right: int) -> int:

@@ -13,15 +13,14 @@ import time
 from choosability import bounds as bnd
 from choosability import solver
 from choosability.cli import main
-from choosability.construction import furedi_hypergraph, hard_instance, verify_design
-from choosability.instances import assignment_from_lists
+from choosability.construction import hard_instance, verify_design
 from choosability.oracle import (
     chi_l_complete_search,
     complete_graph,
     iter_canonical_assignments,
     list_colorable_graph,
 )
-from conftest import ADMISSIBLE_16
+from conftest import ADMISSIBLE_16, assignment_from_lists, furedi_hypergraph
 
 REQUIRED_PAIRS = {(3, 1), (4, 1), (5, 1), (5, 2), (7, 2), (7, 3), (8, 1),
                   (9, 2), (9, 4), (11, 5), (13, 4), (16, 3), (16, 5)}

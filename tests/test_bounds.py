@@ -9,7 +9,6 @@ from choosability.bounds import (
     AdmissibilityViolated,
     DegenerateDenominator,
     _hall_q,
-    admissible_prime_powers,
     bounds_report,
     exact_window,
     icbrt_ceil,
@@ -24,6 +23,8 @@ from choosability.bounds import (
 )
 from choosability import bounds
 from conftest import (
+    admissible_prime_powers,
+    furedi_hypergraph,
     reference_bounds_report,
     reference_find_admissible_prime,
     reference_lower_bound_constructive,
@@ -125,10 +126,6 @@ def test_johnson_bound_consistent_with_constructions():
     # the uniform hypergraph realizes m = (q^2-1)/c lists of size q with
     # pairwise intersections <= c on (q^2-1)/c vertices, so its vertex
     # count can never undercut Johnson's bound
-    import math
-
-    from choosability.construction import furedi_hypergraph
-
     for q, c in [(3, 1), (5, 2), (7, 3), (9, 4), (16, 5), (8, 1)]:
         hypergraph = furedi_hypergraph(q, c)
         m = hypergraph.num_colors

@@ -9,14 +9,12 @@ from choosability.bounds import AdmissibilityViolated
 from choosability.construction import (
     ClassSpace,
     InstanceTooLarge,
-    ZeroPair,
     augmented_hypergraph,
-    furedi_hypergraph,
     hard_instance,
     verify_design,
 )
-from choosability.gf import FiniteField, NotPrimePower, OrderUnavailable
-from conftest import ADMISSIBLE_16
+from choosability.gf import FiniteField, OrderUnavailable
+from conftest import ADMISSIBLE_16, class_of, furedi_hypergraph
 
 
 # -- classes -------------------------------------------------------------------
@@ -44,34 +42,21 @@ def test_orbit_structure():
 def test_class_space_requires_cap_dividing_group_order():
     with pytest.raises(OrderUnavailable):
         ClassSpace(FiniteField(7), 5)  # 5 does not divide 6
-    with pytest.raises(OrderUnavailable):
-        furedi_hypergraph(7, 4)  # 4 does not divide 6
-    # the field is built before the class space checks c
-    with pytest.raises(NotPrimePower):
-        furedi_hypergraph(6, 1)
 
 
 def test_class_of_examples():
     field = FiniteField(5)
     space = ClassSpace(field, 2)
-    cls = space.class_of(1, 2)
+    cls = class_of(space, 1, 2)
     assert space.reps[cls] == (1, 2)
     # (4, 3) = 4 * (1, 2) lies in the same orbit under H = {1, 4}
-    assert ClassSpace(field, 2).class_of(4, 3) == cls
-    assert ClassSpace(FiniteField(3), 1).class_of(2, 1) == ClassSpace(FiniteField(3), 1).class_of(2, 1)
+    assert class_of(ClassSpace(field, 2), 4, 3) == cls
+    assert class_of(ClassSpace(FiniteField(3), 1), 2, 1) == class_of(ClassSpace(FiniteField(3), 1), 2, 1)
 
 
-def test_class_of_zero_pair_rejected():
-    with pytest.raises(ZeroPair):
-        ClassSpace(FiniteField(5), 2).class_of(0, 0)
-
-
-def test_class_of_out_of_range_rejected():
-    # the class table is flat, so an unchecked pair or id would alias another class
+def test_list_of_class_out_of_range_rejected():
+    # ids index a tuple, so an unchecked negative id would alias another class
     space = ClassSpace(FiniteField(5), 2)
-    for a, b in [(0, 6), (5, 0), (-1, 1), (1, -1), (0, 25)]:
-        with pytest.raises(ValueError):
-            space.class_of(a, b)
     for i in (-1, len(space.reps), 10 ** 6):
         with pytest.raises(ValueError):
             space.list_of_class(i)
@@ -83,7 +68,7 @@ def test_ids_follow_representative_order():
         cls_list = space.reps
         reps = list(cls_list)
         assert reps == sorted(reps)
-        assert [space.class_of(a, b) for a, b in cls_list] == list(range(len(cls_list)))
+        assert [class_of(space, a, b) for a, b in cls_list] == list(range(len(cls_list)))
 
 
 # -- incidence lists -------------------------------------------------------------
@@ -103,7 +88,7 @@ def test_list_of_class_gf3_example():
     # classes are exactly (1,0), (1,1), (1,2)
     field = FiniteField(3)
     space = ClassSpace(field, 1)
-    members = space.list_of_class(space.class_of(1, 0))
+    members = space.list_of_class(class_of(space, 1, 0))
     assert sorted(space.reps[i] for i in members) == [(1, 0), (1, 1), (1, 2)]
 
 
@@ -164,6 +149,19 @@ def test_origin_line_examples():
     assert sorted(space3.reps[i] for i in line) == [(1, 1), (2, 2)]
 
 
+def test_origin_line_is_the_classes_of_its_pairs():
+    # by orbits, not the class table: class i lies on the line when reps[i]
+    # is t*(x, s*x) for some t in H and some x != 0
+    for q, c in ADMISSIBLE_16:
+        fld = FiniteField(q)
+        space = ClassSpace(fld, c)
+        for s in range(2 * c):
+            line = {(fld.mul(t, x), fld.mul(t, fld.mul(s, x)))
+                    for t in space.subgroup for x in range(1, q)}
+            assert space.origin_line(s) == tuple(
+                i for i, rep in enumerate(space.reps) if rep in line)
+
+
 def test_origin_line_sizes_disjointness_transversality():
     for q, c in [(5, 2), (7, 3), (9, 4), (8, 1)]:
         space = ClassSpace(FiniteField(q), c)
@@ -209,14 +207,10 @@ def test_augmented_inadmissible():
         augmented_hypergraph(7, 4)  # 4 does not divide 6
     with pytest.raises(AdmissibilityViolated):
         hard_instance(6, 1)  # not a prime power
-
-
-def test_furedi_zero_cap_rejected():
-    # (q^2 - 1) / c is the class count; c = 0 must be refused before it
-    with pytest.raises(OrderUnavailable):
-        furedi_hypergraph(5, 0)
-    with pytest.raises(OrderUnavailable):
-        furedi_hypergraph(5, -2)
+    # (q^2 - 1) / c is the class count; c < 1 must be refused before it
+    for c in (0, -2):
+        with pytest.raises(AdmissibilityViolated):
+            hard_instance(5, c)
 
 
 def test_augmented_designs_verify():
@@ -238,7 +232,7 @@ def test_hard_instance_shapes():
 
 
 def test_hypergraphs_are_list_assignments():
-    for q, c in [(3, 1), (5, 2), (9, 4)]:
+    for q, c in ADMISSIBLE_16:
         base, augmented = furedi_hypergraph(q, c), augmented_hypergraph(q, c)
         assert (base.n, base.k, base.c, base.num_colors) == (len(base.lists), q, c, base.n)
         assert (augmented.k, augmented.c, augmented.meta["q"]) == (q, c, q)
@@ -263,9 +257,8 @@ def test_instance_cap_is_checked_before_the_field(monkeypatch):
         raise _FieldBuilt(q)
 
     monkeypatch.setattr(construction, "FiniteField", refuse)
-    for build in (hard_instance, furedi_hypergraph):
-        with pytest.raises(InstanceTooLarge, match="4194304"):
-            build(163, 1)
+    with pytest.raises(InstanceTooLarge, match="4194304"):
+        hard_instance(163, 1)
     with pytest.raises(_FieldBuilt):
         hard_instance(157, 1)
 

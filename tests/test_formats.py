@@ -11,8 +11,8 @@ from choosability.formats import (
     loads_certificate,
     loads_instance,
 )
-from choosability.instances import assignment_from_lists
 from choosability.solver import colorable
+from conftest import assignment_from_lists
 
 
 def test_instance_round_trip():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from choosability import oracle, solver
-from choosability.instances import assignment_from_lists
 from choosability.oracle import (
     SearchTooLarge,
     SmallGraph,
@@ -17,9 +16,9 @@ from choosability.oracle import (
     iter_canonical_assignments,
     list_colorable_graph,
 )
-from conftest import (brute_force_canonical, canonical_form, generate_then_filter,
-                      reference_colorer, reference_first_uncolorable,
-                      relabel_by_first_appearance)
+from conftest import (assignment_from_lists, brute_force_canonical, canonical_form,
+                      generate_then_filter, reference_colorer,
+                      reference_first_uncolorable, relabel_by_first_appearance)
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from choosability.construction import hard_instance
-from choosability.instances import assignment_from_lists
 from choosability.solver import (
     ColorabilityResult,
     ColorOutOfRange,
@@ -16,7 +15,7 @@ from choosability.solver import (
     validate_assignment,
     verify_coloring,
 )
-from conftest import kuhn_matching_size
+from conftest import assignment_from_lists, kuhn_matching_size
 
 
 def test_colorable_color_out_of_range():

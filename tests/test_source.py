@@ -1,10 +1,28 @@
 """Properties of the package source itself."""
 
 import ast
+import inspect
 import pathlib
+import re
 import sys
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "choosability").glob("*.py"))
+import choosability
+
+ROOT = pathlib.Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "choosability").glob("*.py"))
+
+# exported functions with no caller in another module, in perfbench/ or in
+# README's library example, each with the reason it stays public
+KEPT = {
+    "johnson_threshold": "the criterion-5 red check calls it as written",
+    "vertex_count_bound": "the criterion-5 red check calls it as written",
+    "johnson_bound": "a bound source for the planned `chi` command",
+    "lower_bound_constructive": "a bound source for the planned `chi` command",
+    "upper_bound": "a bound source for the planned `chi` command",
+    "iter_canonical_assignments": "the enumerator that exact chi from packings reuses",
+    "list_colorable_graph": "the colorer for graphs that are not complete",
+    "is_admissible": "the predicate behind check_admissible; the conftest references call it",
+}
 
 
 def _self_calls(tree):
@@ -104,3 +122,31 @@ def test_finite_field_methods_all_have_callers():
               for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
     assert public and sorted(public - called) == []
+
+
+def _references(tree):
+    """Every name read as `name` or as `something.name`."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_exported_functions_have_callers():
+    """Every function the package exports is used by another of its
+    modules, by the benchmark scripts or by README's library example, or
+    is in KEPT with its reason; a kept name that gains a caller or stops
+    being exported leaves KEPT."""
+    init = ast.parse((SOURCES[0].parent / "__init__.py").read_text())
+    exported = {alias.name: node.module for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    functions = {name: module for name, module in exported.items()
+                 if inspect.isfunction(getattr(choosability, name))}
+    modules = {path.stem: _references(ast.parse(path.read_text(), filename=str(path)))
+               for path in SOURCES if path.stem != "__init__"}
+    outside = set().union(*(_references(ast.parse(path.read_text(), filename=str(path)))
+                            for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    example = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    outside |= _references(ast.parse(example.group(1)))
+    uncalled = {name for name, module in functions.items() if name not in outside
+                and not any(name in refs for stem, refs in modules.items() if stem != module)}
+    assert sorted(uncalled - KEPT.keys()) == []
+    assert sorted(KEPT.keys() - uncalled) == []
