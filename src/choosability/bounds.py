@@ -90,9 +90,9 @@ def icbrt_ceil(n: int) -> int:
 
 
 def _ceil_sqrt_half(x: int) -> int:
-    """Smallest t >= 0 with 2 * t**2 >= x, i.e. ceil(sqrt(x / 2)) exactly."""
+    """Smallest t >= 0 with 2 * t**2 >= x, i.e. ceil(sqrt(x / 2)) exactly, for x >= 1."""
     # 2*t^2 >= x iff t^2 >= ceil(x/2), and isqrt(m-1)+1 is the least t with t^2 >= m
-    return math.isqrt((x - 1) // 2) + 1 if x > 0 else 0
+    return math.isqrt((x - 1) // 2) + 1
 
 
 # -- bound formulas -----------------------------------------------------------
@@ -172,7 +172,7 @@ def lower_bound_constructive(n: int, c: int) -> tuple[int, str]:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
     q = _largest_admissible(_q_cap(n, c), c)
     best = 0 if q is None else q + 1
-    fallback = max(1, _ceil_sqrt_half(c * n))
+    fallback = _ceil_sqrt_half(c * n)
     if best >= fallback:
         return best, "constructive"
     return fallback, "ktv"

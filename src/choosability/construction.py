@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .bounds import check_admissible
 from .gf import FiniteField, OrderUnavailable
 from .instances import ListAssignment
-from .solver import entry_columns, overlap_planes
+from .solver import entry_columns, pair_overlaps
 
 
 # largest instance built, in list entries n*q: (q, c) = (128, 1) has 2,097,280;
@@ -48,7 +48,6 @@ class ClassSpace:
             raise OrderUnavailable(
                 f"no element of order {c} in GF({q}): {c} does not divide {q - 1}")
         self.field = fld
-        self.c = c
         # GF(q)* is cyclic, so its one subgroup of order c is the c-th roots of unity
         self.subgroup = frozenset(x for x in range(1, q) if fld.pow(x, c) == 1)
 
@@ -176,22 +175,11 @@ def verify_design(design: ListAssignment, q: int, c: int) -> DesignReport:
         violations.extend(f"edge {i} references vertex {v} out of range"
                           for v in edge if not 0 <= v < design.num_colors)
 
-    # sizes 0..depth-1 are read off the planes; pairs over c are recounted
     columns = entry_columns(lists)
-    depth = min(max(c, 0), max(map(len, lists), default=0)) + 1
     sizes = set()
-    for i, planes in overlap_planes(lists, columns, depth):
-        later = below = (1 << (len(lists) - i - 1)) - 1  # edges i+1..n-1
-        for size, plane in enumerate(planes):
-            if plane != below:  # planes nest, so some pair shares exactly `size`
-                sizes.add(size)
-            below = plane
-        over = below if c >= 0 else later
-        while over:
-            low = over & -over
-            over ^= low
-            j = i + low.bit_length()
-            size = len(set(lists[i]) & set(lists[j]))
+    for i, within, over in pair_overlaps(lists, columns, c):
+        sizes |= within
+        for j, size in over:
             sizes.add(size)
             violations.append(f"edges {i} and {j} intersect in {size} > {c} vertices")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 
 from .instances import ListAssignment
 from .solver import ColorabilityResult
@@ -49,6 +50,9 @@ def _parse_json(text: str):
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("JSON nesting is too deep") from exc
+    except ValueError as exc:  # the interpreter's limit on int literal digits
+        raise FormatError("not valid JSON: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def _require(condition: bool, message: str) -> None:

@@ -155,24 +155,37 @@ def entry_columns(lists) -> dict[int, int]:
     return columns
 
 
-def overlap_planes(lists, columns, depth: int):
-    """Yield (u, planes) for each list u, where bit j of planes[i] is set
-    when lists u and u + 1 + j share more than i entries: every pair once,
-    in index order, counted up to `depth`.
-
-    The planes are a saturating unary counter over the columns of u's
-    entries (Knuth, TAOCP 4A §7.1.3), so each list costs O(k * depth)
-    operations on n-bit ints rather than one AND per other list.
+def pair_overlaps(lists, columns, c: int):
+    """Yield (u, sizes, over) for each list u, in index order: `sizes` holds
+    the overlaps of at most max(c, 0) entries that u has with later lists,
+    and `over` is every later list v sharing more than c entries with u, as
+    (v, exact overlap) in index order. `columns` is `entry_columns(lists)`.
+    Bit v of planes[i] is set when lists u and v share more than i entries:
+    a saturating unary counter over u's columns (Knuth, TAOCP 4A §7.1.3),
+    so each list costs O(k * c) n-bit operations, not one AND per other list.
     """
+    depth = min(max(c, 0), max(map(len, lists), default=0)) + 1
     carries = range(depth - 1, 0, -1)  # top down, so each plane reads the old one below
     for u, lst in enumerate(lists):
+        entries = set(lst)
         planes = [0] * depth
-        for entry in set(lst):
+        for entry in entries:
             column = columns[entry]
             for i in carries:
                 planes[i] |= planes[i - 1] & column
             planes[0] |= column
-        yield u, [plane >> (u + 1) for plane in planes]
+        # bit j of at_least[i] is set when list u + 1 + j shares i or more
+        # entries with u; these nest, so where two differ some list shares i
+        at_least = [(1 << (len(lists) - u - 1)) - 1] + [plane >> (u + 1) for plane in planes]
+        sizes = {i for i in range(depth) if at_least[i] != at_least[i + 1]}
+        flagged = at_least[depth] if c >= 0 else at_least[0]
+        over = []
+        while flagged:  # recount each flagged pair exactly
+            low = flagged & -flagged
+            flagged ^= low
+            v = u + low.bit_length()
+            over.append((v, len(entries & set(lists[v]))))
+        yield u, sizes, over
 
 
 def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityReport:
@@ -187,12 +200,10 @@ def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityR
             return ValidityReport(valid=False, bad_vertex=v)
     if c >= k:  # lists of size k share at most k colors
         return ValidityReport(valid=True)
-    for u, planes in overlap_planes(lists, entry_columns(lists), max(c, 0) + 1):
-        over = planes[c] if c >= 0 else (1 << (len(lists) - u - 1)) - 1
+    for u, _, over in pair_overlaps(lists, entry_columns(lists), c):
         if over:
-            v = u + (over & -over).bit_length()
-            return ValidityReport(valid=False, bad_pair=(u, v),
-                                  overlap=len(set(lists[u]) & set(lists[v])))
+            v, size = over[0]
+            return ValidityReport(valid=False, bad_pair=(u, v), overlap=size)
     return ValidityReport(valid=True)
 
 

@@ -205,6 +205,15 @@ def test_solve_deeply_nested_json_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "too deep" in err
 
 
+def test_solve_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    bad = tmp_path / "long.json"
+    bad.write_text('{"format_version":1,"n":' + "1" * 4301
+                   + ',"c":0,"k":0,"num_colors":0,"lists":[]}')
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "set_int_max_str_digits" not in err
+
+
 def write_huge_color_instance(path):
     """64 one-color lists with color ids from 2**61, all distinct: a valid,
     colorable (1,0)-instance whose ids are far too large to index by."""
@@ -556,9 +565,13 @@ def _loader_bases():
             for inst in (hard, replace(hard, n=9, lists=hard.lists[:-1], meta=None))]
 
 
+# raw integer literals at and one past the interpreter's digit limit: json.dumps
+# refuses to write the longer, so the fuzz dumps a name and splices the digits in
+_LITERALS = {"<4300 digits>": "9" * 4300, "<4301 digits>": "9" * 4301}
 _JUNK = (st.none() | st.booleans() | st.floats() | st.integers(-2, 12)
          | st.integers(-10 ** 400, 10 ** 400) | st.text(max_size=3)
-         | st.lists(st.lists(st.integers(-1, 12), max_size=3), max_size=3))
+         | st.lists(st.lists(st.integers(-1, 12), max_size=3), max_size=3)
+         | st.sampled_from(sorted(_LITERALS)))
 
 
 @st.composite
@@ -589,8 +602,11 @@ def test_loader_fuzz_exits_0_1_or_2_with_strict_json(docs):
     with tempfile.TemporaryDirectory() as tmp:
         inst_path, cert_path = os.path.join(tmp, "inst.json"), os.path.join(tmp, "cert.json")
         for path, doc in ((inst_path, docs[0]), (cert_path, docs[1])):
+            text = json.dumps(doc)
+            for name, digits in _LITERALS.items():
+                text = text.replace(json.dumps(name), digits)
             with open(path, "w") as handle:
-                json.dump(doc, handle)
+                handle.write(text)
         for argv in (["solve", inst_path], ["verify", inst_path, cert_path],
                      ["verify", inst_path, cert_path, "--json"]):
             out, err = io.StringIO(), io.StringIO()

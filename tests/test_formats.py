@@ -1,5 +1,7 @@
 """Instance and certificate serialization: round-trips and schema rejection."""
 
+import json
+
 import pytest
 
 from choosability.construction import hard_instance
@@ -56,7 +58,6 @@ def test_certificate_round_trip_both_shapes():
     (lambda d: d["lists"].__setitem__(0, 5), r"lists\[0\] must be an array"),
 ])
 def test_instance_schema_rejection(mutate, fragment):
-    import json
     data = json.loads(dumps_instance(hard_instance(3, 1)))
     mutate(data)
     with pytest.raises(FormatError, match=fragment):
@@ -69,3 +70,26 @@ def test_truncated_json_rejected():
         loads_instance(good[: len(good) // 2])
     with pytest.raises(FormatError):
         loads_certificate("{\"colorable\": true}")
+
+
+def with_literal(data, digits):
+    """`data` as JSON text with its "@" string replaced by the raw integer
+    literal `digits`, which json.dumps refuses to write past 4,300 digits."""
+    return json.dumps(data).replace('"@"', digits)
+
+
+@pytest.mark.parametrize("loads, text, mutate", [
+    (loads_instance, dumps_instance(hard_instance(3, 1)), lambda d: d.update(n="@")),
+    (loads_instance, dumps_instance(hard_instance(3, 1)), lambda d: d["lists"][0].insert(0, "@")),
+    (loads_certificate, '{"colorable":true,"coloring":[0]}', lambda d: d["coloring"].append("@")),
+], ids=["n", "list_entry", "coloring"])
+def test_integer_past_the_digit_limit_rejected(loads, text, mutate):
+    data = json.loads(text)
+    mutate(data)
+    with pytest.raises(FormatError, match="not valid JSON: an integer has more than 4300 digits"):
+        loads(with_literal(data, "1" * 4301))
+
+
+def test_integer_at_the_digit_limit_loads():
+    data = json.loads(dumps_instance(hard_instance(3, 1))) | {"num_colors": "@"}
+    assert loads_instance(with_literal(data, "9" * 4300)).num_colors == 10 ** 4300 - 1

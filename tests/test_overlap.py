@@ -8,8 +8,9 @@ from dataclasses import replace
 
 from choosability.construction import augmented_hypergraph, verify_design
 from choosability.instances import ListAssignment
-from choosability.solver import validate_assignment
-from conftest import ADMISSIBLE_16, reference_validate_assignment, reference_verify_design
+from choosability.solver import entry_columns, pair_overlaps, validate_assignment
+from conftest import (ADMISSIBLE_16, overlap_rows, reference_validate_assignment,
+                      reference_verify_design)
 
 
 def assert_matches_reference(design, k, c):
@@ -84,3 +85,20 @@ def test_counter_matches_reference_on_malformed_lists():
 def test_huge_cap_counts_no_further_than_the_longest_list():
     design = augmented_hypergraph(5, 2)
     assert_matches_reference(design, 5, 10 ** 18)
+
+
+def test_pair_overlaps_matches_pairwise_reference():
+    # lists of unequal lengths with repeated entries, over ids that include
+    # negatives and 2**61, and every cap from below zero to past the longest
+    rng = random.Random(23)
+    ids = (-5, -1, 0, 1, 2, 3, 7, 2 ** 61, 2 ** 61 + 1)
+    families = [()] + [tuple(tuple(rng.choices(ids, k=rng.randrange(7)))
+                             for _ in range(rng.randrange(1, 13))) for _ in range(300)]
+    for lists in families:
+        columns = entry_columns(lists)
+        longest = max(map(len, lists), default=0)
+        for c in range(-2, longest + 2):
+            expected = [(u, {size for size in row if size <= max(c, 0)},
+                         [(u + 1 + j, size) for j, size in enumerate(row) if size > c])
+                        for u, row in overlap_rows(lists)]
+            assert list(pair_overlaps(lists, columns, c)) == expected, (lists, c)

@@ -86,6 +86,17 @@ def test_search_too_large_is_built_only_for_the_cap():
     assert built(enumerator) and len(built(tree)) == len(built(enumerator))
 
 
+def test_construction_does_not_decode_bit_positions():
+    """`solver.pair_overlaps` is the one reader of the overlap planes, so
+    `construction` neither shifts nor asks for a bit position."""
+    path = SOURCES[0].parent / "construction.py"
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, (ast.LShift, ast.RShift))
+             or isinstance(node, ast.Attribute) and node.attr == "bit_length"]
+    assert found == []
+
+
 def test_lru_cache_only_in_bounds():
     """`bounds` remembers its two prime searches, which `bounds --range`
     repeats; a cache anywhere else must first show traffic that repeats,
