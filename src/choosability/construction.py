@@ -88,8 +88,8 @@ class ClassSpace:
         a, b = self.reps[i]
         if b:
             beta = fld.inv(b)
-            slope = fld.neg(fld.mul(a, beta))
-            members = [class_id[x * q + fld.add(beta, fld.mul(slope, x))] for x in range(q)]
+            ys = fld.line(fld.neg(fld.mul(a, beta)), beta)
+            members = [class_id[xq + y] for xq, y in zip(range(0, q * q, q), ys)]
         else:
             start = fld.inv(a) * q
             members = class_id[start:start + q]
@@ -98,8 +98,9 @@ class ClassSpace:
     def origin_line(self, slope: int) -> tuple[int, ...]:
         """The ids of the (q-1)/c classes of the punctured line y = slope * x,
         in increasing order."""
-        fld, class_id = self.field, self._class_id
-        return tuple(sorted({class_id[x * fld.q + fld.mul(slope, x)] for x in range(1, fld.q)}))
+        q, class_id = self.field.q, self._class_id
+        ys = self.field.line(slope, 0)
+        return tuple(sorted({class_id[xq + y] for xq, y in zip(range(q, q * q, q), ys[1:])}))
 
 
 # -- the hard instance ---------------------------------------------------------

@@ -8,6 +8,7 @@ every run and platform.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import stat
 import sys
@@ -81,16 +82,19 @@ def loads_instance(text: str) -> ListAssignment:
     _require(isinstance(lists, list), "field 'lists' must be an array")
     _require(len(lists) == n, f"expected {n} lists, found {len(lists)}")
     parsed = []
-    # messages are built only on failure: this loop visits every color
+    # each list is checked whole by builtins; only a list that fails the
+    # type or range test is walked color by color, to name the first bad one
     for v, lst in enumerate(lists):
         if not isinstance(lst, list):
             raise FormatError(f"lists[{v}] must be an array")
         if len(lst) != k:
             raise FormatError(f"lists[{v}] has {len(lst)} colors, expected k={k}")
-        for color in lst:
-            if not (_is_int(color) and 0 <= color < num_colors):
-                raise FormatError(f"lists[{v}] contains {color!r}, outside [0, {num_colors})")
-        if not all(a < b for a, b in zip(lst, lst[1:])):
+        if lst and not (set(map(type, lst)) <= {int}
+                        and 0 <= min(lst) and max(lst) < num_colors):
+            for color in lst:
+                if not (_is_int(color) and 0 <= color < num_colors):
+                    raise FormatError(f"lists[{v}] contains {color!r}, outside [0, {num_colors})")
+        if not all(map(operator.lt, lst, lst[1:])):
             raise FormatError(f"lists[{v}] must be strictly increasing")
         parsed.append(tuple(lst))
     meta = data.get("meta")

@@ -147,6 +147,15 @@ class FiniteField:
         self._check(y)
         return self._mul[x * self.q + y]
 
+    def line(self, slope: int, intercept: int) -> list[int]:
+        """[slope*x + intercept for x in range(q)]: one row of the
+        multiplication table read through one row of the addition table."""
+        self._check(slope)
+        self._check(intercept)
+        q = self.q
+        shifted = self._add[intercept * q:(intercept + 1) * q]
+        return list(map(shifted.__getitem__, self._mul[slope * q:(slope + 1) * q]))
+
     def inv(self, x: int) -> int:
         self._check(x)
         if x == 0:

@@ -56,12 +56,24 @@ def test_certificate_round_trip_both_shapes():
     (lambda d: d["lists"][0].__setitem__(0, -1), "contains -1, outside"),
     (lambda d: d["lists"][0].__setitem__(0, "0"), "contains '0', outside"),
     (lambda d: d["lists"].__setitem__(0, 5), r"lists\[0\] must be an array"),
+    (lambda d: d["lists"][0].__setitem__(-1, 2.0), "contains 2.0, outside"),
+    (lambda d: d["lists"][0].__setitem__(-1, None), "contains None, outside"),
+    (lambda d: d["lists"][0].__setitem__(-1, [8]), r"contains \[8\], outside"),
+    (lambda d: d["lists"][0].__setitem__(-1, True), "contains True, outside"),
+    (lambda d: d["lists"].__setitem__(0, [99, 1, 0]), "contains 99, outside"),
 ])
 def test_instance_schema_rejection(mutate, fragment):
     data = json.loads(dumps_instance(hard_instance(3, 1)))
     mutate(data)
     with pytest.raises(FormatError, match=fragment):
         loads_instance(json.dumps(data))
+
+
+def test_empty_lists_load():
+    text = '{"format_version":1,"n":2,"c":0,"k":0,"num_colors":0,"lists":[[],[]]}'
+    inst = loads_instance(text)
+    assert inst.k == 0 and inst.lists == ((), ())
+    assert dumps_instance(inst) == text[:-1] + ',"meta":{}}\n'
 
 
 def test_truncated_json_rejected():

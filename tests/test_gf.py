@@ -159,6 +159,17 @@ def test_operand_range_checked():
         field.add(5, 0)
     with pytest.raises(ValueError):
         field.mul(0, -1)
+    for slope, intercept in ((5, 0), (0, 5), (-1, 0), (0, -1), (1.0, 0), (0, None)):
+        with pytest.raises(ValueError):
+            field.line(slope, intercept)
+
+
+@pytest.mark.parametrize("q", prime_powers_between(2, 32) + [49, 64])
+def test_line_is_slope_times_x_plus_intercept(q):
+    field = FiniteField(q)
+    add, mul = field.add, field.mul
+    for slope, intercept in itertools.product(range(q), repeat=2):
+        assert field.line(slope, intercept) == [add(mul(slope, x), intercept) for x in range(q)]
 
 
 def _check_laws(field, triples):

@@ -6,7 +6,9 @@ from the implementation before the construction layer moved to
 table-driven field arithmetic and directly solved incidence lists (commit
 18d943c). They cover every admissible (q, c) with q <= 32 and a few larger
 fields, including prime, characteristic-2 and odd-characteristic
-extensions.
+extensions. The (128, 1) digest, of the largest instance under
+`MAX_LIST_ENTRIES`, was taken from the implementation before each
+incidence list was read from one row of the field tables (commit 64bc990).
 
 The `bounds` digests are of the `--json` output of
 `choosability bounds --range 1..2000 --c C` for C = 1..5 and of
@@ -118,6 +120,7 @@ GOLDEN_INSTANCE_SHA256 = {
     (64, 1): "e321e113d91df154f2be311353eb73c9652d4a2a29c3d2b0fd0133cccd392a0d",
     (64, 3): "c202ef9a2b24e1c1fb5242d21b47924397ebe1bcce4c2bd976920852ba0d3736",
     (64, 7): "29e0a5863e098306608406ec28483cc14e4d615e9a7e392f5ff389034d63870c",
+    (128, 1): "7af1a1628b13ee75f07f70ff5ecda14294f854376bec4c0f2c4e1c41049241b2",
 }
 
 

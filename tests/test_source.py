@@ -7,6 +7,10 @@ import re
 import sys
 
 import choosability
+from choosability import gf
+from choosability.construction import hard_instance
+from choosability.gf import FiniteField
+from conftest import ADMISSIBLE_16
 
 ROOT = pathlib.Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "choosability").glob("*.py"))
@@ -120,19 +124,37 @@ def test_lru_cache_only_in_bounds():
     assert found == []
 
 
-def test_finite_field_methods_all_have_callers():
+# public FiniteField methods that no other module of the package calls, each
+# with the reason it stays
+FIELD_KEPT = {
+    "add": "perfbench/tracing.exercise_layers calls it; ROADMAP item 6",
+}
+
+
+def test_finite_field_methods_all_have_callers(monkeypatch):
     """`FiniteField` is the arithmetic the construction needs, not a general
-    field library: every public method is called as an attribute from
-    another module of the package."""
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    (field_class,) = [node for node in trees["gf.py"].body
-                      if isinstance(node, ast.ClassDef) and node.name == "FiniteField"]
-    public = {node.name for node in field_class.body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    called = {node.func.attr for name, tree in trees.items() if name != "gf.py"
-              for node in ast.walk(tree)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
-    assert public and sorted(public - called) == []
+    field library: building every hard instance with q <= 16 calls each
+    public method from another module of the package, except the names in
+    FIELD_KEPT, which stay uncalled. The calls are counted at run time, so
+    a method of another type with the same name (`set.add`) is no caller."""
+    public = sorted(name for name, value in vars(FiniteField).items()
+                    if inspect.isfunction(value) and not name.startswith("_"))
+    called = set()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] != gf.__name__:
+                called.add(name)
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in public:
+        monkeypatch.setattr(FiniteField, name, counted(name, getattr(FiniteField, name)))
+    for q, c in ADMISSIBLE_16:
+        hard_instance(q, c)
+    assert public and FIELD_KEPT.keys() <= set(public)
+    assert sorted(set(public) - called - FIELD_KEPT.keys()) == []
+    assert sorted(called & FIELD_KEPT.keys()) == []
 
 
 def _references(tree):
