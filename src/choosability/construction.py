@@ -14,12 +14,13 @@ n - 1 colors in total and is therefore not properly colorable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .bounds import check_admissible
 from .gf import FiniteField, OrderUnavailable
 from .instances import ListAssignment
-from .solver import entry_columns, pair_overlaps
+from .solver import pair_overlaps
 
 
 # largest instance built, in list entries n*q: (q, c) = (128, 1) has 2,097,280;
@@ -168,26 +169,25 @@ def verify_design(design: ListAssignment, q: int, c: int) -> DesignReport:
     histogram. Violations carry a concrete witness (edge or edge pair)."""
     lists = design.lists
     violations = []
+    degrees = Counter()
     for i, edge in enumerate(lists):
-        if len(set(edge)) != len(edge):
+        vertices = set(edge)
+        degrees.update(vertices)
+        if len(vertices) != len(edge):
             violations.append(f"edge {i} repeats a vertex: {edge}")
         if len(edge) != q:
             violations.append(f"edge {i} has size {len(edge)}, expected {q}")
         violations.extend(f"edge {i} references vertex {v} out of range"
                           for v in edge if not 0 <= v < design.num_colors)
 
-    columns = entry_columns(lists)
     sizes = set()
-    for i, within, over in pair_overlaps(lists, columns, c):
+    for i, within, over in pair_overlaps(lists, c):
         sizes |= within
         for j, size in over:
             sizes.add(size)
             violations.append(f"edges {i} and {j} intersect in {size} > {c} vertices")
 
-    histogram: dict[int, int] = {}
-    for v in range(design.num_colors):
-        degree = columns.get(v, 0).bit_count()
-        histogram[degree] = histogram.get(degree, 0) + 1
+    histogram = Counter(degrees[v] for v in range(design.num_colors))
     return DesignReport(
         ok=not violations,
         n_vertices=design.num_colors,

@@ -130,7 +130,8 @@ class FiniteField:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, x: int) -> None:
-        if not isinstance(x, int) or not 0 <= x < self.q:
+        # one exact type test: bool, an int subclass, is no field element
+        if type(x) is not int or not 0 <= x < self.q:
             raise ValueError(f"{x!r} is not an element of GF({self.q})")
 
     def add(self, x: int, y: int) -> int:

@@ -141,29 +141,21 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
     return ColorabilityResult(violator=(violator_s, neighbors))
 
 
-def entry_columns(lists) -> dict[int, int]:
-    """Map each entry to its column: bit v is set when list v holds it.
-
-    Any int is an entry, whatever its range, and a list that repeats an
-    entry holds it once.
+def pair_overlaps(lists, c: int):
+    """Yield (u, sizes, over) for each list u, in index order: `sizes` holds
+    the overlaps of at most max(c, 0) entries that u has with later lists,
+    and `over` is every later list v sharing more than c entries with u, as
+    (v, exact overlap) in index order. Any int is an entry, and a list that
+    repeats one holds it once. Bit v of an entry's column is set when list v
+    holds it, and bit v of planes[i] when lists u and v share more than i
+    entries: a saturating unary counter over u's columns (Knuth, TAOCP 4A §7.1.3),
+    so each list costs O(k * c) n-bit operations, not one AND per other list.
     """
     columns: dict[int, int] = {}
     for v, lst in enumerate(lists):
         bit = 1 << v
         for entry in set(lst):
             columns[entry] = columns.get(entry, 0) | bit
-    return columns
-
-
-def pair_overlaps(lists, columns, c: int):
-    """Yield (u, sizes, over) for each list u, in index order: `sizes` holds
-    the overlaps of at most max(c, 0) entries that u has with later lists,
-    and `over` is every later list v sharing more than c entries with u, as
-    (v, exact overlap) in index order. `columns` is `entry_columns(lists)`.
-    Bit v of planes[i] is set when lists u and v share more than i entries:
-    a saturating unary counter over u's columns (Knuth, TAOCP 4A §7.1.3),
-    so each list costs O(k * c) n-bit operations, not one AND per other list.
-    """
     depth = min(max(c, 0), max(map(len, lists), default=0)) + 1
     carries = range(depth - 1, 0, -1)  # top down, so each plane reads the old one below
     for u, lst in enumerate(lists):
@@ -200,7 +192,7 @@ def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityR
             return ValidityReport(valid=False, bad_vertex=v)
     if c >= k:  # lists of size k share at most k colors
         return ValidityReport(valid=True)
-    for u, _, over in pair_overlaps(lists, entry_columns(lists), c):
+    for u, _, over in pair_overlaps(lists, c):
         if over:
             v, size = over[0]
             return ValidityReport(valid=False, bad_pair=(u, v), overlap=size)

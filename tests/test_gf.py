@@ -162,6 +162,14 @@ def test_operand_range_checked():
     for slope, intercept in ((5, 0), (0, 5), (-1, 0), (0, -1), (1.0, 0), (0, None)):
         with pytest.raises(ValueError):
             field.line(slope, intercept)
+    # bool is an int subclass, but True and False are not the elements 1 and 0
+    for flag in (True, False):
+        for call in (lambda: field.line(flag, 0), lambda: field.line(0, flag),
+                     lambda: field.mul(flag, 2), lambda: field.add(flag, 1),
+                     lambda: field.inv(flag), lambda: field.pow(flag, 2),
+                     lambda: field.neg(flag)):
+            with pytest.raises(ValueError):
+                call()
 
 
 @pytest.mark.parametrize("q", prime_powers_between(2, 32) + [49, 64])

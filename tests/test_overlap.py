@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from choosability.construction import augmented_hypergraph, verify_design
 from choosability.instances import ListAssignment
-from choosability.solver import entry_columns, pair_overlaps, validate_assignment
+from choosability.solver import pair_overlaps, validate_assignment
 from conftest import (ADMISSIBLE_16, overlap_rows, reference_validate_assignment,
                       reference_verify_design)
 
@@ -95,10 +95,9 @@ def test_pair_overlaps_matches_pairwise_reference():
     families = [()] + [tuple(tuple(rng.choices(ids, k=rng.randrange(7)))
                              for _ in range(rng.randrange(1, 13))) for _ in range(300)]
     for lists in families:
-        columns = entry_columns(lists)
         longest = max(map(len, lists), default=0)
         for c in range(-2, longest + 2):
             expected = [(u, {size for size in row if size <= max(c, 0)},
                          [(u + 1 + j, size) for j, size in enumerate(row) if size > c])
                         for u, row in overlap_rows(lists)]
-            assert list(pair_overlaps(lists, columns, c)) == expected, (lists, c)
+            assert list(pair_overlaps(lists, c)) == expected, (lists, c)

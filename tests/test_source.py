@@ -91,14 +91,16 @@ def test_search_too_large_is_built_only_for_the_cap():
 
 
 def test_construction_does_not_decode_bit_positions():
-    """`solver.pair_overlaps` is the one reader of the overlap planes, so
-    `construction` neither shifts nor asks for a bit position."""
+    """`solver.pair_overlaps` builds the entry columns and is the one reader
+    of the overlap planes, so `construction` neither shifts nor asks for a
+    bit position or a bit count, and `solver` hands out no columns."""
     path = SOURCES[0].parent / "construction.py"
     found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, (ast.BinOp, ast.AugAssign))
              and isinstance(node.op, (ast.LShift, ast.RShift))
-             or isinstance(node, ast.Attribute) and node.attr == "bit_length"]
+             or isinstance(node, ast.Attribute) and node.attr in ("bit_length", "bit_count")]
     assert found == []
+    assert not hasattr(choosability.solver, "entry_columns")
 
 
 def test_lru_cache_only_in_bounds():
