@@ -187,7 +187,11 @@ def verify_design(design: ListAssignment, q: int, c: int) -> DesignReport:
             sizes.add(size)
             violations.append(f"edges {i} and {j} intersect in {size} > {c} vertices")
 
-    histogram = Counter(degrees[v] for v in range(design.num_colors))
+    # only the vertices some edge holds have a degree; the rest count as zeros
+    in_range = [d for v, d in degrees.items() if 0 <= v < design.num_colors]
+    histogram = Counter(in_range)
+    if design.num_colors > len(in_range):
+        histogram[0] = design.num_colors - len(in_range)
     return DesignReport(
         ok=not violations,
         n_vertices=design.num_colors,

@@ -108,6 +108,14 @@ def _hopcroft_karp(lists):
                 stack.pop()
         return False
 
+    # the first search finds every vertex free, at distance 0, so its round
+    # of searches is this greedy pass: each vertex takes its first free color
+    for v, lst in enumerate(lists):
+        for color in lst:
+            if color not in match_r:
+                match_l[v] = color
+                match_r[color] = v
+                break
     while bfs():
         for v in range(n):
             if match_l[v] == -1:
@@ -123,13 +131,15 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
     deficiency certificate: |S| - |N(S)| equals n minus the matching size.
     Raises ColorOutOfRange for a listed color outside [0, num_colors).
     """
-    lists = assignment.lists
+    lists, num_colors = assignment.lists, assignment.num_colors
+    # each list is checked whole by builtins; only a failing list is walked,
+    # to name its first color out of range
     for v, lst in enumerate(lists):
-        for color in lst:
-            if not 0 <= color < assignment.num_colors:
-                raise ColorOutOfRange(
-                    f"vertex {v} lists color {color}, universe is [0, {assignment.num_colors})"
-                )
+        if lst and not (0 <= min(lst) and max(lst) < num_colors):
+            for color in lst:
+                if not 0 <= color < num_colors:
+                    raise ColorOutOfRange(
+                        f"vertex {v} lists color {color}, universe is [0, {num_colors})")
     match_l, dist = _hopcroft_karp(lists)
     if -1 not in match_l:
         return ColorabilityResult(coloring=tuple(match_l))
@@ -146,38 +156,53 @@ def pair_overlaps(lists, c: int):
     the overlaps of at most max(c, 0) entries that u has with later lists,
     and `over` is every later list v sharing more than c entries with u, as
     (v, exact overlap) in index order. Any int is an entry, and a list that
-    repeats one holds it once. Bit v of an entry's column is set when list v
-    holds it, and bit v of planes[i] when lists u and v share more than i
-    entries: a saturating unary counter over u's columns (Knuth, TAOCP 4A §7.1.3),
-    so each list costs O(k * c) n-bit operations, not one AND per other list.
+    repeats one holds it once. One pass reads the lists from the last to
+    the first, with list v at bit n-1-v of each entry's column, so the
+    columns of list u hold exactly the later lists, in their low n-1-u bits,
+    and u's bit joins them once they are read. Bit j of planes[i] is set
+    when list n-1-j shares more than i entries with u: a saturating unary
+    counter over u's columns (Knuth, TAOCP 4A §7.1.3), so each list costs
+    O(k * c) operations on ints of about n - u bits, not one AND per other
+    list. The pass keeps only each list's sizes and whether some later list
+    is over c; a flagged list recounts its top plane when it is yielded.
     """
-    columns: dict[int, int] = {}
-    for v, lst in enumerate(lists):
-        bit = 1 << v
-        for entry in set(lst):
-            columns[entry] = columns.get(entry, 0) | bit
+    n = len(lists)
     depth = min(max(c, 0), max(map(len, lists), default=0)) + 1
     carries = range(depth - 1, 0, -1)  # top down, so each plane reads the old one below
-    for u, lst in enumerate(lists):
-        entries = set(lst)
+    columns: dict[int, int] = {}
+    # per list, bit i + 1 is set when a later list shares exactly i entries,
+    # and bit 0 when one shares more than c
+    records = [0] * n
+    for u in range(n - 1, -1, -1):
+        bit = 1 << (n - 1 - u)
         planes = [0] * depth
-        for entry in entries:
-            column = columns[entry]
+        for entry in set(lists[u]):
+            column = columns.get(entry, 0)
             for i in carries:
                 planes[i] |= planes[i - 1] & column
             planes[0] |= column
-        # bit j of at_least[i] is set when list u + 1 + j shares i or more
-        # entries with u; these nest, so where two differ some list shares i
-        at_least = [(1 << (len(lists) - u - 1)) - 1] + [plane >> (u + 1) for plane in planes]
-        sizes = {i for i in range(depth) if at_least[i] != at_least[i + 1]}
-        flagged = at_least[depth] if c >= 0 else at_least[0]
+            columns[entry] = column | bit
+        # the later lists sharing i or more entries nest; where two differ, some list shares i
+        at_least = [bit - 1, *planes]
+        sizes = sum(2 << i for i in range(depth) if at_least[i] != at_least[i + 1])
+        records[u] = sizes | bool(at_least[depth] if c >= 0 else bit - 1)
+    for u, record in enumerate(records):
         over = []
-        while flagged:  # recount each flagged pair exactly
-            low = flagged & -flagged
-            flagged ^= low
-            v = u + low.bit_length()
-            over.append((v, len(entries & set(lists[v]))))
-        yield u, sizes, over
+        if record & 1:  # recount the top plane, from the finished columns masked to the later lists
+            entries = set(lists[u])
+            planes = [0] * depth
+            for entry in entries:
+                column = columns[entry]
+                for i in carries:
+                    planes[i] |= planes[i - 1] & column
+                planes[0] |= column
+            later = (1 << (n - 1 - u)) - 1
+            flagged = planes[-1] & later if c >= 0 else later
+            while flagged:  # highest bit, so lowest v, first
+                j = flagged.bit_length() - 1
+                flagged ^= 1 << j
+                over.append((n - 1 - j, len(entries & set(lists[n - 1 - j]))))
+        yield u, {i for i in range(depth) if record >> i + 1 & 1}, over
 
 
 def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityReport:

@@ -1,5 +1,6 @@
 """Equivalence classes, incidence lists, hypergraphs, and hard instances."""
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -14,6 +15,7 @@ from choosability.construction import (
     verify_design,
 )
 from choosability.gf import FiniteField, OrderUnavailable
+from choosability.instances import ListAssignment
 from conftest import ADMISSIBLE_16, class_of, furedi_hypergraph
 
 
@@ -311,6 +313,17 @@ def test_verify_design_flags_repeated_and_out_of_range_vertices():
     # a repeated vertex counts once, out-of-range vertices toward no degree:
     # 3 and the last vertex of edge 1 lose an edge, the others keep three
     assert report.degree_histogram == {2: 2, 3: 6}
+
+
+def test_verify_design_counts_unheld_vertices_without_visiting_them():
+    # two edges over 10**12 vertices: the vertices no edge holds are only counted
+    design = ListAssignment(n=2, k=2, c=1, num_colors=10 ** 12,
+                            lists=((0, 1), (1, 10 ** 12 - 1)))
+    start = time.perf_counter()
+    report = verify_design(design, 2, 1)
+    assert time.perf_counter() - start < 1
+    assert report.ok
+    assert report.degree_histogram == {0: 10 ** 12 - 3, 1: 2, 2: 1}
 
 
 def test_verify_design_counts_shared_out_of_range_vertices():

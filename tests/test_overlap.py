@@ -4,6 +4,7 @@ per pair of lists reports, on the hard instances, on corrupted copies of
 them, and on small malformed lists."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 from choosability.construction import augmented_hypergraph, verify_design
@@ -101,3 +102,46 @@ def test_pair_overlaps_matches_pairwise_reference():
                          [(u + 1 + j, size) for j, size in enumerate(row) if size > c])
                         for u, row in overlap_rows(lists)]
             assert list(pair_overlaps(lists, c)) == expected, (lists, c)
+
+
+def share_with(design, u, v, size):
+    """Make list v share exactly `size` entries with list u, which it meets
+    in at most `size` today, by trading entries of v that u lacks."""
+    lu, lv = set(design.lists[u]), set(design.lists[v])
+    gained = sorted(lu - lv)[:size - len(lu & lv)]
+    lost = sorted(lv - lu)[:len(gained)]
+    return with_list(design, v, lv - set(lost) | set(gained))
+
+
+def test_counter_matches_reference_where_corruptions_touch_the_first_and_last_lists():
+    # the counter reads the lists from the last to the first, so list n - 1
+    # is the bottom bit of every column and list 0 the top one
+    rng = random.Random(27)
+    for q, c in ADMISSIBLE_16:
+        design = augmented_hypergraph(q, c)
+        last, middle = design.n - 1, rng.randrange(1, design.n - 1)
+        lists = design.lists
+        for corrupted in (with_list(design, last, lists[0]),
+                          with_list(design, 0, lists[last]),
+                          share_with(design, 0, last, c + 1),
+                          share_with(design, last, 0, c + 1),
+                          share_with(share_with(design, middle, 0, c + 1), middle, last, q),
+                          replace(design, n=design.n + 1, lists=lists + (lists[0],)),
+                          replace(design, n=design.n + 1, lists=(lists[last],) + lists)):
+            for cap in (c - 1, c, c + 1):
+                assert_matches_reference(corrupted, q, cap)
+
+
+def test_pair_overlaps_memory_stays_with_the_columns():
+    # 20,000 distinct one-entry lists: the columns alone take n^2 / 2 bits,
+    # about 23.8 MiB; keeping a set of entries per list until it is yielded
+    # would add about 4 MiB more
+    lists = [(v,) for v in range(20000)]
+    tracemalloc.start()
+    try:
+        for _ in pair_overlaps(lists, 0):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2 ** 20
