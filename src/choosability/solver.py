@@ -132,8 +132,7 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
     Raises ColorOutOfRange for a listed color outside [0, num_colors).
     """
     lists, num_colors = assignment.lists, assignment.num_colors
-    # each list is checked whole by builtins; only a failing list is walked,
-    # to name its first color out of range
+    # builtins check each list whole; only a failing list is walked, to name the color
     for v, lst in enumerate(lists):
         if lst and not (0 <= min(lst) and max(lst) < num_colors):
             for color in lst:
@@ -170,11 +169,9 @@ def pair_overlaps(lists, c: int):
     depth = min(max(c, 0), max(map(len, lists), default=0)) + 1
     carries = range(depth - 1, 0, -1)  # top down, so each plane reads the old one below
     columns: dict[int, int] = {}
-    # per list, bit i + 1 is set when a later list shares exactly i entries,
-    # and bit 0 when one shares more than c
-    records = [0] * n
-    for u in range(n - 1, -1, -1):
-        bit = 1 << (n - 1 - u)
+
+    def count(u, bit):
+        """List u's planes over its columns, ORing `bit` into each once read."""
         planes = [0] * depth
         for entry in set(lists[u]):
             column = columns.get(entry, 0)
@@ -182,22 +179,23 @@ def pair_overlaps(lists, c: int):
                 planes[i] |= planes[i - 1] & column
             planes[0] |= column
             columns[entry] = column | bit
+        return planes
+
+    # per list, bit i + 1 is set when a later list shares exactly i entries,
+    # and bit 0 when one shares more than c
+    records = [0] * n
+    for u in range(n - 1, -1, -1):
+        bit = 1 << (n - 1 - u)
         # the later lists sharing i or more entries nest; where two differ, some list shares i
-        at_least = [bit - 1, *planes]
+        at_least = [bit - 1, *count(u, bit)]
         sizes = sum(2 << i for i in range(depth) if at_least[i] != at_least[i + 1])
         records[u] = sizes | bool(at_least[depth] if c >= 0 else bit - 1)
     for u, record in enumerate(records):
         over = []
         if record & 1:  # recount the top plane, from the finished columns masked to the later lists
-            entries = set(lists[u])
-            planes = [0] * depth
-            for entry in entries:
-                column = columns[entry]
-                for i in carries:
-                    planes[i] |= planes[i - 1] & column
-                planes[0] |= column
             later = (1 << (n - 1 - u)) - 1
-            flagged = planes[-1] & later if c >= 0 else later
+            flagged = count(u, 0)[-1] & later if c >= 0 else later
+            entries = set(lists[u])
             while flagged:  # highest bit, so lowest v, first
                 j = flagged.bit_length() - 1
                 flagged ^= 1 << j
