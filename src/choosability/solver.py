@@ -167,19 +167,25 @@ def pair_overlaps(lists, c: int):
     """
     n = len(lists)
     depth = min(max(c, 0), max(map(len, lists), default=0)) + 1
-    carries = range(depth - 1, 0, -1)  # top down, so each plane reads the old one below
     columns: dict[int, int] = {}
 
     def count(u, bit):
         """List u's planes over its columns, ORing `bit` into each once read."""
-        planes = [0] * depth
+        low, upper = 0, [0] * (depth - 1)  # planes[0] and the planes above it
         for entry in set(lists[u]):
             column = columns.get(entry, 0)
-            for i in carries:
-                planes[i] |= planes[i - 1] & column
-            planes[0] |= column
+            # carry holds the lists whose count this entry lifts past the
+            # plane below; in a design within the cap it is mostly empty
+            carry = low & column
+            low |= column
+            if carry:
+                for i, plane in enumerate(upper):
+                    upper[i] = plane | carry
+                    carry &= plane
+                    if not carry:
+                        break
             columns[entry] = column | bit
-        return planes
+        return [low, *upper]
 
     # per list, bit i + 1 is set when a later list shares exactly i entries,
     # and bit 0 when one shares more than c
