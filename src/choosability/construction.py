@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 
 from .bounds import check_admissible
 from .gf import FiniteField, OrderUnavailable
@@ -90,7 +91,7 @@ class ClassSpace:
         if b:
             beta = fld.inv(b)
             ys = fld.line(fld.neg(fld.mul(a, beta)), beta)
-            members = [class_id[xq + y] for xq, y in zip(range(0, q * q, q), ys)]
+            members = map(class_id.__getitem__, map(add, range(0, q * q, q), ys))
         else:
             start = fld.inv(a) * q
             members = class_id[start:start + q]
@@ -177,8 +178,9 @@ def verify_design(design: ListAssignment, q: int, c: int) -> DesignReport:
             violations.append(f"edge {i} repeats a vertex: {edge}")
         if len(edge) != q:
             violations.append(f"edge {i} has size {len(edge)}, expected {q}")
-        violations.extend(f"edge {i} references vertex {v} out of range"
-                          for v in edge if not 0 <= v < design.num_colors)
+        if edge and not (0 <= min(edge) and max(edge) < design.num_colors):
+            violations.extend(f"edge {i} references vertex {v} out of range"
+                              for v in edge if not 0 <= v < design.num_colors)
 
     sizes = set()
     for i, within, over in pair_overlaps(lists, c):

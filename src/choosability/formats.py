@@ -12,6 +12,7 @@ import operator
 import os
 import stat
 import sys
+from itertools import chain
 
 from .instances import ListAssignment
 from .solver import ColorabilityResult
@@ -38,7 +39,7 @@ def dumps_instance(assignment: ListAssignment) -> str:
         "c": assignment.c,
         "k": assignment.k,
         "num_colors": assignment.num_colors,
-        "lists": [list(lst) for lst in assignment.lists],
+        "lists": assignment.lists,
         "meta": assignment.meta if assignment.meta is not None else {},
     }
     return json_line(out)
@@ -81,26 +82,28 @@ def loads_instance(text: str) -> ListAssignment:
     lists = data["lists"]
     _require(isinstance(lists, list), "field 'lists' must be an array")
     _require(len(lists) == n, f"expected {n} lists, found {len(lists)}")
-    parsed = []
-    # each list is checked whole by builtins; only a list that fails the
-    # type or range test is walked color by color, to name the first bad one
-    for v, lst in enumerate(lists):
-        if not isinstance(lst, list):
-            raise FormatError(f"lists[{v}] must be an array")
-        if len(lst) != k:
-            raise FormatError(f"lists[{v}] has {len(lst)} colors, expected k={k}")
-        if lst and not (set(map(type, lst)) <= {int}
-                        and 0 <= min(lst) and max(lst) < num_colors):
+    # builtins check the whole family at once, and strictly increasing lists
+    # lie in range when their first and last colors do; only a family that
+    # fails is walked list by list and color by color, to name the first fault
+    if not (set(map(type, lists)) <= {list} and set(map(len, lists)) <= {k}
+            and set(map(type, chain.from_iterable(lists))) <= {int}
+            and all(all(map(operator.lt, lst, lst[1:])) for lst in lists)
+            and (k == 0 or 0 <= min(map(operator.itemgetter(0), lists), default=0)
+                 and max(map(operator.itemgetter(-1), lists), default=-1) < num_colors)):
+        for v, lst in enumerate(lists):
+            if not isinstance(lst, list):
+                raise FormatError(f"lists[{v}] must be an array")
+            if len(lst) != k:
+                raise FormatError(f"lists[{v}] has {len(lst)} colors, expected k={k}")
             for color in lst:
                 if not (_is_int(color) and 0 <= color < num_colors):
                     raise FormatError(f"lists[{v}] contains {color!r}, outside [0, {num_colors})")
-        if not all(map(operator.lt, lst, lst[1:])):
-            raise FormatError(f"lists[{v}] must be strictly increasing")
-        parsed.append(tuple(lst))
+            if not all(map(operator.lt, lst, lst[1:])):
+                raise FormatError(f"lists[{v}] must be strictly increasing")
     meta = data.get("meta")
     _require(meta is None or isinstance(meta, dict), "field 'meta' must be an object")
     return ListAssignment(n=n, k=k, c=c, num_colors=num_colors,
-                          lists=tuple(parsed), meta=meta or None)
+                          lists=tuple(map(tuple, lists)), meta=meta or None)
 
 
 def instance_to_text(assignment: ListAssignment) -> str:
@@ -132,13 +135,13 @@ def loads_certificate(text: str) -> ColorabilityResult:
     _require("colorable" in data, "missing required field 'colorable'")
     if data["colorable"] is True:
         coloring = data.get("coloring")
-        _require(isinstance(coloring, list) and all(_is_int(x) for x in coloring),
+        _require(isinstance(coloring, list) and set(map(type, coloring)) <= {int},
                  "field 'coloring' must be an array of integers")
         return ColorabilityResult(coloring=tuple(coloring))
     _require(data["colorable"] is False, "field 'colorable' must be a boolean")
     for key in ("violator_S", "neighborhood"):
         value = data.get(key)
-        _require(isinstance(value, list) and all(_is_int(x) for x in value),
+        _require(isinstance(value, list) and set(map(type, value)) <= {int},
                  f"field '{key}' must be an array of integers")
     return ColorabilityResult(
         violator=(tuple(data["violator_S"]), tuple(data["neighborhood"]))

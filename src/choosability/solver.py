@@ -11,8 +11,8 @@ than |S| colors.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .instances import ListAssignment
 
@@ -63,23 +63,24 @@ def _hopcroft_karp(lists):
     dist = [0] * n
 
     def bfs() -> bool:
-        queue = deque()
-        for v in range(n):
-            if match_l[v] == -1:
-                dist[v] = 0
-                queue.append(v)
-            else:
-                dist[v] = -1
-        found_free = False
-        while queue:
-            v = queue.popleft()
-            for color in lists[v]:
-                u = match_r.get(color, -1)
-                if u == -1:
-                    found_free = True
-                elif dist[u] == -1:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
+        # one level at a time: the next level is the partners of the colors
+        # the frontier lists, less the vertices seen (a free color's partner
+        # reads None); distances do not depend on the order a level is read in
+        dist[:] = [0 if color == -1 else -1 for color in match_l]
+        frontier = [v for v in range(n) if match_l[v] == -1]
+        seen = set()  # free vertices are matched to no color, so never reached
+        found_free, level = False, 0
+        while frontier:
+            reached = set(map(match_r.get, chain.from_iterable(map(lists.__getitem__, frontier))))
+            if None in reached:
+                found_free = True
+                reached.discard(None)
+            reached -= seen
+            seen |= reached
+            level += 1
+            for u in reached:
+                dist[u] = level
+            frontier = reached
         return found_free
 
     def dfs(root: int) -> bool:
@@ -132,9 +133,10 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
     Raises ColorOutOfRange for a listed color outside [0, num_colors).
     """
     lists, num_colors = assignment.lists, assignment.num_colors
-    # builtins check each list whole; only a failing list is walked, to name the color
-    for v, lst in enumerate(lists):
-        if lst and not (0 <= min(lst) and max(lst) < num_colors):
+    # builtins check every color at once; the lists are walked only to name the first bad one
+    if not (0 <= min(chain.from_iterable(lists), default=0)
+            and max(chain.from_iterable(lists), default=-1) < num_colors):
+        for v, lst in enumerate(lists):
             for color in lst:
                 if not 0 <= color < num_colors:
                     raise ColorOutOfRange(
@@ -144,7 +146,7 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
         return ColorabilityResult(coloring=tuple(match_l))
 
     violator_s = tuple(v for v, d in enumerate(dist) if d >= 0)
-    neighbors = tuple(sorted({color for v in violator_s for color in lists[v]}))
+    neighbors = tuple(sorted(set(chain.from_iterable(map(lists.__getitem__, violator_s)))))
     if len(neighbors) >= len(violator_s):
         raise AssertionError("deficiency certificate failed its own recount")
     return ColorabilityResult(violator=(violator_s, neighbors))
@@ -155,24 +157,26 @@ def pair_overlaps(lists, c: int):
     the overlaps of at most max(c, 0) entries that u has with later lists,
     and `over` is every later list v sharing more than c entries with u, as
     (v, exact overlap) in index order. Any int is an entry, and a list that
-    repeats one holds it once. One pass reads the lists from the last to
-    the first, with list v at bit n-1-v of each entry's column, so the
-    columns of list u hold exactly the later lists, in their low n-1-u bits,
-    and u's bit joins them once they are read. Bit j of planes[i] is set
-    when list n-1-j shares more than i entries with u: a saturating unary
-    counter over u's columns (Knuth, TAOCP 4A §7.1.3), so each list costs
-    O(k * c) operations on ints of about n - u bits, not one AND per other
-    list. The pass keeps only each list's sizes and whether some later list
-    is over c; a flagged list recounts its top plane when it is yielded.
+    repeats one holds it once. One pass reads the lists, each as given,
+    from the last to the first, with list v at bit n-1-v of each entry's
+    column, so the columns of list u hold exactly the later lists, in their
+    low n-1-u bits, and u's bit joins them once they are read. Bit j of
+    planes[i] is set when list n-1-j shares more than i entries with u: a
+    saturating unary counter over u's columns (Knuth, TAOCP 4A §7.1.3), so
+    each list costs O(k * c) operations on ints of about n - u bits, not
+    one AND per other list; a list that repeats an entry is counted again
+    over its distinct entries. The pass keeps only each list's sizes and
+    whether some later list is over c; a flagged list recounts its top
+    plane when it is yielded.
     """
     n = len(lists)
     depth = min(max(c, 0), max(map(len, lists), default=0)) + 1
     columns: dict[int, int] = {}
 
-    def count(u, bit):
-        """List u's planes over its columns, ORing `bit` into each once read."""
+    def count(entries, bit):
+        """The planes over the columns of `entries`, ORing `bit` into each once read."""
         low, upper = 0, [0] * (depth - 1)  # planes[0] and the planes above it
-        for entry in set(lists[u]):
+        for entry in entries:
             column = columns.get(entry, 0)
             # carry holds the lists whose count this entry lifts past the
             # plane below; in a design within the cap it is mostly empty
@@ -191,17 +195,26 @@ def pair_overlaps(lists, c: int):
     # and bit 0 when one shares more than c
     records = [0] * n
     for u in range(n - 1, -1, -1):
-        bit = 1 << (n - 1 - u)
+        lst, bit = lists[u], 1 << (n - 1 - u)
+        planes = count(lst, bit)
+        # the columns hold no earlier list, so u's own bit reaches plane 0
+        # only through an entry read twice; count such a list again, once
+        # per entry, over the later lists
+        if planes[0] >= bit:
+            planes = [plane & (bit - 1) for plane in count(set(lst), 0)]
         # the later lists sharing i or more entries nest; where two differ, some list shares i
-        at_least = [bit - 1, *count(u, bit)]
-        sizes = sum(2 << i for i in range(depth) if at_least[i] != at_least[i + 1])
-        records[u] = sizes | bool(at_least[depth] if c >= 0 else bit - 1)
+        record, above = 0, bit - 1
+        for i, plane in enumerate(planes):
+            if plane != above:
+                record |= 2 << i
+            above = plane
+        records[u] = record | bool(planes[-1] if c >= 0 else bit - 1)
     for u, record in enumerate(records):
         over = []
         if record & 1:  # recount the top plane, from the finished columns masked to the later lists
-            later = (1 << (n - 1 - u)) - 1
-            flagged = count(u, 0)[-1] & later if c >= 0 else later
             entries = set(lists[u])
+            later = (1 << (n - 1 - u)) - 1
+            flagged = count(entries, 0)[-1] & later if c >= 0 else later
             while flagged:  # highest bit, so lowest v, first
                 j = flagged.bit_length() - 1
                 flagged ^= 1 << j
@@ -249,7 +262,7 @@ def check_certificate(assignment: ListAssignment,
     violator_s, claimed_neighborhood = certificate.violator
     if not violator_s:
         return False, "violator set is empty"
-    if not all(0 <= v < assignment.n for v in violator_s):
+    if not (0 <= min(violator_s) and max(violator_s) < assignment.n):
         return False, "violator set references vertices outside the instance"
     if len(set(violator_s)) != len(violator_s):
         return False, "violator set repeats a vertex"

@@ -1,7 +1,8 @@
 """Shared independent oracles and instance builders for the test suite.
 
 These deliberately re-derive results through different algorithms than the
-package uses (augmenting-path matching instead of Hopcroft-Karp, trial
+package uses (augmenting-path matching instead of Hopcroft-Karp, a
+breadth-first search one vertex at a time instead of one level at a time, trial
 division instead of Miller-Rabin, filter-based enumeration instead of the
 pruned generator, one AND per pair of lists instead of the column counter,
 a full coloring search per assignment instead of one search of G - w per
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 from choosability.bounds import (
     BoundsReport,
@@ -93,6 +95,82 @@ def kuhn_matching_size(adj, n_left: int, n_right: int) -> int:
         if try_augment(v, set()):
             size += 1
     return size
+
+
+def reference_hopcroft_karp(lists):
+    """`solver._hopcroft_karp` with its breadth-first search run one vertex
+    at a time from a queue, reading each color's partner in Python.
+
+    Returns (match_l, dist): match_l[v] is v's color or -1. The last
+    breadth-first search found no free color, so its dist[v] >= 0 exactly
+    for the vertices that alternating paths reach from unmatched ones.
+    Vertices and colors are scanned in list order, so the matching (and
+    every certificate derived from it) is reproducible.
+    """
+    n = len(lists)
+    match_l = [-1] * n
+    match_r: dict[int, int] = {}
+    dist = [0] * n
+
+    def bfs() -> bool:
+        queue = deque()
+        for v in range(n):
+            if match_l[v] == -1:
+                dist[v] = 0
+                queue.append(v)
+            else:
+                dist[v] = -1
+        found_free = False
+        while queue:
+            v = queue.popleft()
+            for color in lists[v]:
+                u = match_r.get(color, -1)
+                if u == -1:
+                    found_free = True
+                elif dist[u] == -1:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        return found_free
+
+    def dfs(root: int) -> bool:
+        # explicit stack (augmenting paths can be long); frames hold the
+        # vertex, its color iterator, and the color currently explored
+        stack = [[root, iter(lists[root]), -1]]
+        while stack:
+            frame = stack[-1]
+            v, colors = frame[0], frame[1]
+            descended = False
+            for color in colors:
+                u = match_r.get(color, -1)
+                if u == -1:
+                    frame[2] = color
+                    for fv, _, fcolor in stack:
+                        match_l[fv] = fcolor
+                        match_r[fcolor] = fv
+                    return True
+                if dist[u] == dist[v] + 1:
+                    frame[2] = color
+                    stack.append([u, iter(lists[u]), -1])
+                    descended = True
+                    break
+            if not descended:
+                dist[v] = -1
+                stack.pop()
+        return False
+
+    # the first search finds every vertex free, at distance 0, so its round
+    # of searches is this greedy pass: each vertex takes its first free color
+    for v, lst in enumerate(lists):
+        for color in lst:
+            if color not in match_r:
+                match_l[v] = color
+                match_r[color] = v
+                break
+    while bfs():
+        for v in range(n):
+            if match_l[v] == -1:
+                dfs(v)
+    return match_l, dist
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -69,6 +69,42 @@ def test_instance_schema_rejection(mutate, fragment):
         loads_instance(json.dumps(data))
 
 
+@pytest.mark.parametrize("field, text", [
+    ("coloring", '{"colorable":true,"coloring":[0,1]}'),
+    ("violator_S", '{"colorable":false,"violator_S":[0,1],"neighborhood":[0]}'),
+    ("neighborhood", '{"colorable":false,"violator_S":[0,1],"neighborhood":[0]}'),
+])
+@pytest.mark.parametrize("junk", [True, False, 1.0, "1", None, [1]])
+def test_certificate_arrays_hold_only_integers(field, text, junk):
+    # JSON true and false are not integers, although bool subclasses int
+    data = json.loads(text)
+    data[field].append(junk)
+    with pytest.raises(FormatError, match=f"field '{field}' must be an array of integers"):
+        loads_certificate(json.dumps(data))
+    data[field] = 7
+    with pytest.raises(FormatError, match=f"field '{field}' must be an array of integers"):
+        loads_certificate(json.dumps(data))
+
+
+@pytest.mark.parametrize("faults, fragment", [
+    ({3: [2, 1, 0], 5: [0, 1, 99]}, r"lists\[3\] must be strictly increasing"),
+    ({3: [0, 1, 99], 5: [2, 1, 0]}, r"lists\[3\] contains 99, outside"),
+    ({2: [0, 1.5, 2], 4: 7}, r"lists\[2\] contains 1.5, outside"),
+    ({2: [0, 1], 4: [0, 1, True]}, r"lists\[2\] has 2 colors, expected k=3"),
+    ({6: [0, 4, 3], 8: [-1, 0, 1]}, r"lists\[6\] must be strictly increasing"),
+    ({0: [1, 0, 9]}, r"lists\[0\] contains 9, outside"),
+    ({9: "0 1 2"}, r"lists\[9\] must be an array"),
+])
+def test_instance_loader_names_the_first_faulty_list(faults, fragment):
+    # the loader checks the whole family at once and walks it only after a
+    # failure, so a fault in a later list must not mask one in an earlier list
+    data = json.loads(dumps_instance(hard_instance(3, 1)))
+    for v, lst in faults.items():
+        data["lists"][v] = lst
+    with pytest.raises(FormatError, match=fragment):
+        loads_instance(json.dumps(data))
+
+
 def test_empty_lists_load():
     text = '{"format_version":1,"n":2,"c":0,"k":0,"num_colors":0,"lists":[[],[]]}'
     inst = loads_instance(text)

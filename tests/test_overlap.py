@@ -104,6 +104,30 @@ def test_pair_overlaps_matches_pairwise_reference():
             assert list(pair_overlaps(lists, c)) == expected, (lists, c)
 
 
+def test_pair_overlaps_counts_a_repeated_entry_once():
+    # the pass reads each list as given and counts a list again only when
+    # an entry read twice put its own bit into plane 0: cover a repeat in
+    # list n - 1 (read first), in list 0, in every list, and of an entry
+    # that no other list holds
+    rng = random.Random(28)
+    families = [((5, 5),), ((0, 1, 9, 9), (0, 1, 2)), ((1, 2), (3, 7, 3, 3))]
+    for where in ("last", "first", "every", "private") * 60:
+        n = rng.randrange(1, 10)
+        lists = [rng.sample(range(12), rng.randrange(1, 6)) for _ in range(n)]
+        for v in {"last": [n - 1], "first": [0]}.get(where, range(n)):
+            lst = lists[v]
+            entry = 100 + v if where == "private" else rng.choice(lst)
+            for _ in range(1 + (where == "private")):
+                lst.insert(rng.randrange(len(lst) + 1), entry)
+        families.append(tuple(map(tuple, lists)))
+    for lists in families:
+        for c in range(-2, max(map(len, lists)) + 2):
+            expected = [(u, {size for size in row if size <= max(c, 0)},
+                         [(u + 1 + j, size) for j, size in enumerate(row) if size > c])
+                        for u, row in overlap_rows(lists)]
+            assert list(pair_overlaps(lists, c)) == expected, (lists, c)
+
+
 def share_with(design, u, v, size):
     """Make list v share exactly `size` entries with list u, which it meets
     in at most `size` today, by trading entries of v that u lacks."""

@@ -10,12 +10,14 @@ from choosability.solver import (
     ColorabilityResult,
     ColorOutOfRange,
     ValidityReport,
+    _hopcroft_karp,
     check_certificate,
     colorable,
     validate_assignment,
     verify_coloring,
 )
-from conftest import assignment_from_lists, kuhn_matching_size
+from conftest import (ADMISSIBLE_16, assignment_from_lists, kuhn_matching_size,
+                      reference_hopcroft_karp)
 
 
 def test_colorable_color_out_of_range():
@@ -137,6 +139,33 @@ def test_adding_a_fresh_color_never_breaks_colorability():
         after = colorable(assignment_from_lists(
             widened, c=inst.c, num_colors=inst.num_colors + 1, k=0)).colorable
         assert not (before and not after)
+
+
+def test_level_by_level_search_matches_the_queue_search():
+    # BFS distances do not depend on the order a level is scanned in, so the
+    # matching and the last search's distances, which name the violator,
+    # must be the queue search's exactly: on seeded families (colors listed
+    # in any order) and on relabelled hard instances less one vertex, the
+    # shape of the colorable variants that `solve` is benchmarked on
+    rng = random.Random(2028)
+    families = []
+    for _ in range(400):
+        num_colors = rng.randrange(1, 41)
+        families.append([tuple(rng.sample(range(num_colors), rng.randrange(min(6, num_colors) + 1)))
+                         for _ in range(rng.randrange(41))])
+    for q, c in ADMISSIBLE_16:
+        hard = hard_instance(q, c)
+        lists = list(hard.lists)
+        del lists[rng.randrange(len(lists))]
+        rng.shuffle(lists)
+        relabel = rng.sample(range(hard.num_colors), hard.num_colors)
+        families.append([tuple(sorted(relabel[color] for color in lst)) for lst in lists])
+    perfect = set()
+    for lists in families:
+        match_l, dist = _hopcroft_karp(lists)
+        assert (match_l, dist) == reference_hopcroft_karp(lists), lists
+        perfect.add(-1 not in match_l)
+    assert perfect == {True, False}
 
 
 # -- validation and verification ---------------------------------------------------
