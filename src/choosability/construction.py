@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add
+from itertools import chain
+from operator import lt
 
 from .bounds import check_admissible
 from .gf import FiniteField, OrderUnavailable
@@ -39,9 +40,9 @@ class ClassSpace:
     A class is an int id; `reps[i]` is the lexicographically smallest pair
     of class i, and ids number the classes in order of those pairs.
     Requires c | q - 1. Precomputes the subgroup H and the class id of
-    every nonzero pair (a, b) at index a*q + b of one flat table, so the
-    two queries, `list_of_class` and `origin_line`, are list lookups.
-    Immutable once built.
+    every nonzero pair (a, b) at `_rows[a][b]`, one row per a, each built
+    from one row of the multiplication table, so the two queries,
+    `list_of_class` and `origin_line`, are list lookups. Immutable once built.
     """
 
     def __init__(self, fld: FiniteField, c: int):
@@ -53,23 +54,20 @@ class ClassSpace:
         # GF(q)* is cyclic, so its one subgroup of order c is the c-th roots of unity
         self.subgroup = frozenset(x for x in range(1, q) if fld.pow(x, c) == 1)
 
-        # scanning pairs in lexicographic order meets every orbit first at
-        # its smallest member, so classes come out in representative order;
-        # index 0, the origin, is never filled
-        class_id = [-1] * (q * q)
-        reps: list[tuple[int, int]] = []
-        for key in range(1, q * q):
-            if class_id[key] >= 0:
-                continue
-            a, b = divmod(key, q)
-            orbit = {fld.mul(t, a) * q + fld.mul(t, b) for t in self.subgroup}
-            if len(orbit) != c:
-                raise AssertionError("scaling action is not free")
-            for member in orbit:
-                class_id[member] = len(reps)
-            reps.append((a, b))
-        self._class_id = class_id
-        self.reps = tuple(reps)
+        # the orbit of x != 0 is its coset xH: one min across the rows t*x finds
+        # every coset's least member m, and (a, b) is in the class of (m, (m/a)*b)
+        least = list(map(min, zip(*(fld.line(t, 0) for t in self.subgroup))))
+        minima = sorted(set(least[1:]))
+        if len(minima) * c != q - 1:  # the orbits on GF(q)* are cosets of c elements
+            raise AssertionError("scaling action is not free")
+        # ids in representative order: the (0, m), then the (m, y); the origin reads -1
+        rank = dict(zip([0, *minima], range(-1, len(minima))))
+        rows = [list(map(rank.__getitem__, least))]
+        for a in range(1, q):
+            first = len(minima) + rank[least[a]] * q
+            rows.append(list(map(first.__add__, fld.line(fld.mul(least[a], fld.inv(a)), 0))))
+        self._rows = rows
+        self.reps = (*((0, m) for m in minima), *((m, y) for m in minima for y in range(q)))
 
     def list_of_class(self, i: int) -> tuple[int, ...]:
         """The ids of the q classes <x,y> with a*x + b*y in H, (a, b) = reps[i],
@@ -85,24 +83,20 @@ class ClassSpace:
         if not 0 <= i < len(self.reps):
             raise ValueError(f"class id {i} is outside [0, {len(self.reps)})")
         fld = self.field
-        q = fld.q
-        class_id = self._class_id
         a, b = self.reps[i]
         if b:
             beta = fld.inv(b)
             ys = fld.line(fld.neg(fld.mul(a, beta)), beta)
-            members = map(class_id.__getitem__, map(add, range(0, q * q, q), ys))
+            members = map(list.__getitem__, self._rows, ys)
         else:
-            start = fld.inv(a) * q
-            members = class_id[start:start + q]
+            members = self._rows[fld.inv(a)]
         return tuple(sorted(members))
 
     def origin_line(self, slope: int) -> tuple[int, ...]:
         """The ids of the (q-1)/c classes of the punctured line y = slope * x,
         in increasing order."""
-        q, class_id = self.field.q, self._class_id
         ys = self.field.line(slope, 0)
-        return tuple(sorted({class_id[xq + y] for xq, y in zip(range(q, q * q, q), ys[1:])}))
+        return tuple(sorted(set(map(list.__getitem__, self._rows[1:], ys[1:]))))
 
 
 # -- the hard instance ---------------------------------------------------------
@@ -163,24 +157,35 @@ class DesignReport:
     violations: list[str] = field(default_factory=list)
 
 
+def _increasing(edge) -> bool:
+    return all(map(lt, edge, edge[1:]))
+
+
 def verify_design(design: ListAssignment, q: int, c: int) -> DesignReport:
     """Check q-uniformity and the pairwise intersection cap c of the edges
     `design.lists` over the vertices [0, design.num_colors), and report
     counts, the observed intersection sizes, and the vertex degree
-    histogram. Violations carry a concrete witness (edge or edge pair)."""
-    lists = design.lists
+    histogram. Violations carry a concrete witness (edge or edge pair).
+
+    A strictly increasing edge holds each vertex once, so when every edge
+    is one the degrees are one `Counter` over all edges, and otherwise one
+    over each edge's set; the edges are walked only to name violations once
+    the builtin size, repeat and range checks fail.
+    """
+    lists, num_colors = design.lists, design.num_colors
+    vertex_sets = lists if all(map(_increasing, lists)) else list(map(set, lists))
+    degrees = Counter(chain.from_iterable(vertex_sets))
     violations = []
-    degrees = Counter()
-    for i, edge in enumerate(lists):
-        vertices = set(edge)
-        degrees.update(vertices)
-        if len(vertices) != len(edge):
-            violations.append(f"edge {i} repeats a vertex: {edge}")
-        if len(edge) != q:
-            violations.append(f"edge {i} has size {len(edge)}, expected {q}")
-        if edge and not (0 <= min(edge) and max(edge) < design.num_colors):
-            violations.extend(f"edge {i} references vertex {v} out of range"
-                              for v in edge if not 0 <= v < design.num_colors)
+    if not (set(map(len, lists)) <= {q} and sum(map(len, vertex_sets)) == sum(map(len, lists))
+            and 0 <= min(degrees, default=0) and max(degrees, default=-1) < num_colors):
+        for i, edge in enumerate(lists):
+            if len(set(edge)) != len(edge):
+                violations.append(f"edge {i} repeats a vertex: {edge}")
+            if len(edge) != q:
+                violations.append(f"edge {i} has size {len(edge)}, expected {q}")
+            if edge and not (0 <= min(edge) and max(edge) < num_colors):
+                violations.extend(f"edge {i} references vertex {v} out of range"
+                                  for v in edge if not 0 <= v < num_colors)
 
     sizes = set()
     for i, within, over in pair_overlaps(lists, c):
@@ -190,14 +195,14 @@ def verify_design(design: ListAssignment, q: int, c: int) -> DesignReport:
             violations.append(f"edges {i} and {j} intersect in {size} > {c} vertices")
 
     # only the vertices some edge holds have a degree; the rest count as zeros
-    in_range = [d for v, d in degrees.items() if 0 <= v < design.num_colors]
+    in_range = [d for v, d in degrees.items() if 0 <= v < num_colors]
     histogram = Counter(in_range)
-    if design.num_colors > len(in_range):
-        histogram[0] = design.num_colors - len(in_range)
+    if num_colors > len(in_range):
+        histogram[0] = num_colors - len(in_range)
     return DesignReport(
         ok=not violations,
-        n_vertices=design.num_colors,
-        n_edges=len(design.lists),
+        n_vertices=num_colors,
+        n_edges=len(lists),
         max_intersection=max(sizes, default=0),
         intersection_sizes=tuple(sorted(sizes)),
         degree_histogram=dict(sorted(histogram.items())),

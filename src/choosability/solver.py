@@ -11,6 +11,7 @@ than |S| colors.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
@@ -160,34 +161,41 @@ def pair_overlaps(lists, c: int):
     repeats one holds it once. One pass reads the lists, each as given,
     from the last to the first, with list v at bit n-1-v of each entry's
     column, so the columns of list u hold exactly the later lists, in their
-    low n-1-u bits, and u's bit joins them once they are read. Bit j of
-    planes[i] is set when list n-1-j shares more than i entries with u: a
-    saturating unary counter over u's columns (Knuth, TAOCP 4A §7.1.3), so
-    each list costs O(k * c) operations on ints of about n - u bits, not
-    one AND per other list; a list that repeats an entry is counted again
-    over its distinct entries. The pass keeps only each list's sizes and
-    whether some later list is over c; a flagged list recounts its top
-    plane when it is yielded.
+    low n-1-u bits, and u's bit joins them once they are read. The columns
+    are a plain list indexed by entry when every entry lies in [0, T), T
+    the total entry count, and a dict otherwise, so they stay linear in the
+    input. Bit j of planes[i] is set when list n-1-j shares more than i
+    entries with u: a saturating unary counter over u's columns (Knuth,
+    TAOCP 4A §7.1.3), so each list costs O(k * c) operations on ints of
+    about n - u bits, not one AND per other list; a list that repeats an
+    entry is counted again over its distinct entries. The pass keeps only
+    each list's sizes and whether some later list is over c; a flagged
+    list recounts its top plane when it is yielded.
     """
     n = len(lists)
-    depth = min(max(c, 0), max(map(len, lists), default=0)) + 1
-    columns: dict[int, int] = {}
+    top = min(max(c, 0), max(map(len, lists), default=0))  # planes above plane 0
+    high = max(chain.from_iterable(lists), default=-1)
+    if 0 <= min(chain.from_iterable(lists), default=0) and high < sum(map(len, lists)):
+        columns = [0] * (high + 1)
+    else:
+        columns = defaultdict(int)
 
     def count(entries, bit):
         """The planes over the columns of `entries`, ORing `bit` into each once read."""
-        low, upper = 0, [0] * (depth - 1)  # planes[0] and the planes above it
+        low, upper = 0, [0] * top  # planes[0] and the planes above it
         for entry in entries:
-            column = columns.get(entry, 0)
+            column = columns[entry]
             # carry holds the lists whose count this entry lifts past the
             # plane below; in a design within the cap it is mostly empty
             carry = low & column
             low |= column
             if carry:
-                for i, plane in enumerate(upper):
+                i = 0
+                while carry and i < top:
+                    plane = upper[i]
                     upper[i] = plane | carry
                     carry &= plane
-                    if not carry:
-                        break
+                    i += 1
             columns[entry] = column | bit
         return [low, *upper]
 
@@ -219,7 +227,7 @@ def pair_overlaps(lists, c: int):
                 j = flagged.bit_length() - 1
                 flagged ^= 1 << j
                 over.append((n - 1 - j, len(entries & set(lists[n - 1 - j]))))
-        yield u, {i for i in range(depth) if record >> i + 1 & 1}, over
+        yield u, {i for i in range(top + 1) if record >> i + 1 & 1}, over
 
 
 def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityReport:

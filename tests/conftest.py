@@ -6,9 +6,10 @@ breadth-first search one vertex at a time instead of one level at a time, trial
 division instead of Miller-Rabin, filter-based enumeration instead of the
 pruned generator, one AND per pair of lists instead of the column counter,
 a full coloring search per assignment instead of one search of G - w per
-run of assignments, both step-down prime searches rerun on every row of a
-bounds table instead of remembered per search key), so agreement is
-meaningful.
+run of assignments, an orbit scan of every pair instead of the class table
+built from whole multiplication rows, both step-down prime searches rerun
+on every row of a bounds table instead of remembered per search key), so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -74,6 +75,31 @@ def class_of(space: ClassSpace, a: int, b: int) -> int:
     `space.reps` of the smallest pair of its orbit under the subgroup."""
     fld = space.field
     return space.reps.index(min((fld.mul(t, a), fld.mul(t, b)) for t in space.subgroup))
+
+
+def reference_class_table(fld: FiniteField, c: int):
+    """`ClassSpace.__init__` as an orbit scan, one orbit per unvisited pair:
+    returns (reps, class_id), with class_id[a*q + b] the id of the nonzero
+    pair (a, b) and class_id[0] = -1."""
+    q = fld.q
+    subgroup = frozenset(x for x in range(1, q) if fld.pow(x, c) == 1)
+
+    # scanning pairs in lexicographic order meets every orbit first at
+    # its smallest member, so classes come out in representative order;
+    # index 0, the origin, is never filled
+    class_id = [-1] * (q * q)
+    reps: list[tuple[int, int]] = []
+    for key in range(1, q * q):
+        if class_id[key] >= 0:
+            continue
+        a, b = divmod(key, q)
+        orbit = {fld.mul(t, a) * q + fld.mul(t, b) for t in subgroup}
+        if len(orbit) != c:
+            raise AssertionError("scaling action is not free")
+        for member in orbit:
+            class_id[member] = len(reps)
+        reps.append((a, b))
+    return tuple(reps), class_id
 
 
 def kuhn_matching_size(adj, n_left: int, n_right: int) -> int:

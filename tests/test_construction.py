@@ -16,7 +16,8 @@ from choosability.construction import (
 )
 from choosability.gf import FiniteField, OrderUnavailable
 from choosability.instances import ListAssignment
-from conftest import ADMISSIBLE_16, class_of, furedi_hypergraph
+from conftest import (ADMISSIBLE_16, class_of, furedi_hypergraph, reference_class_table,
+                      reference_verify_design)
 
 
 # -- classes -------------------------------------------------------------------
@@ -71,6 +72,23 @@ def test_ids_follow_representative_order():
         reps = list(cls_list)
         assert reps == sorted(reps)
         assert [class_of(space, a, b) for a, b in cls_list] == list(range(len(cls_list)))
+
+
+PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+                   37, 41, 43, 47, 49, 53, 59, 61, 64]
+
+
+def test_class_table_matches_orbit_scan():
+    # every c dividing q - 1, c = 1 and c = q - 1 included
+    for q in PRIME_POWERS_64:
+        fld = FiniteField(q)
+        for c in range(1, q):
+            if (q - 1) % c:
+                continue
+            space = ClassSpace(fld, c)
+            reps, class_id = reference_class_table(fld, c)
+            assert space.reps == reps, (q, c)
+            assert [i for row in space._rows for i in row] == class_id, (q, c)
 
 
 # -- incidence lists -------------------------------------------------------------
@@ -338,3 +356,40 @@ def test_verify_design_counts_shared_out_of_range_vertices():
                                  "edge 2 references vertex -1 out of range",
                                  "edges 0 and 2 intersect in 2 > 1 vertices"]
     assert report.max_intersection == 2
+
+
+def _assert_verify_matches_reference(design, q, c):
+    for cap in (c - 1, c, c + 1):
+        assert verify_design(design, q, cap) == reference_verify_design(design, q, cap)
+
+
+def test_verify_design_degree_paths_match_reference():
+    # the degrees come from one count over all edges when every edge is
+    # strictly increasing, and from each edge's set otherwise; both must
+    # match the reference, which counts each edge's distinct vertices
+    def increasing(design):
+        return all(list(edge) == sorted(set(edge)) for edge in design.lists)
+
+    for q, c in [(3, 1), (5, 2), (7, 3), (8, 1), (9, 4), (16, 5)]:
+        base = augmented_hypergraph(q, c)
+        lists = base.lists
+
+        def with_edge(i, edge):
+            return replace(base, lists=lists[:i] + (edge,) + lists[i + 1:])
+
+        middle = len(lists) // 2
+        edge = lists[middle]
+        designs = [
+            (base, True),
+            (with_edge(middle, edge[::-1]), False),  # one edge out of order, no repeat
+            (with_edge(middle, (edge[0],) + edge[:-1]), False),  # one edge repeats a vertex
+            (with_edge(middle, edge[:-1] + (base.num_colors + 5,)), True),  # out of range
+            (with_edge(0, (-1,) + lists[0][1:]), True),  # out of range below
+            (replace(base, n=0, lists=()), True),  # the empty design
+        ]
+        for design, path in designs:
+            assert increasing(design) == path
+            _assert_verify_matches_reference(design, q, c)
+            _assert_verify_matches_reference(design, q + 1, c)  # every edge the wrong size
+    empty = ListAssignment(n=0, k=3, c=1, num_colors=0, lists=())
+    _assert_verify_matches_reference(empty, 3, 1)

@@ -5,8 +5,10 @@ them, and on small malformed lists."""
 
 import random
 import tracemalloc
+from collections import defaultdict
 from dataclasses import replace
 
+from choosability import solver
 from choosability.construction import augmented_hypergraph, verify_design
 from choosability.instances import ListAssignment
 from choosability.solver import pair_overlaps, validate_assignment
@@ -169,3 +171,53 @@ def test_pair_overlaps_memory_stays_with_the_columns():
     finally:
         tracemalloc.stop()
     assert peak < 28 * 2 ** 20
+
+
+def assert_overlaps_match_rows(lists):
+    """pair_overlaps(lists, c) against the pairwise reference at every cap
+    from below zero to past the longest list."""
+    for c in range(-2, max(map(len, lists), default=0) + 2):
+        expected = [(u, {size for size in row if size <= max(c, 0)},
+                     [(u + 1 + j, size) for j, size in enumerate(row) if size > c])
+                    for u, row in overlap_rows(lists)]
+        assert list(pair_overlaps(lists, c)) == expected, (lists, c)
+
+
+def test_pair_overlaps_on_both_column_containers(monkeypatch):
+    # the columns are a list indexed by entry when every entry lies in
+    # [0, T), T the family's entry count, and a dict otherwise: put one
+    # entry at T - 1, at T, at -1 and at 2**61, and record which container
+    # each family got
+    dicts = []
+
+    class RecordedDict(defaultdict):
+        def __init__(self, *args):
+            super().__init__(*args)
+            dicts.append(self)
+
+    monkeypatch.setattr(solver, "defaultdict", RecordedDict)
+    rng = random.Random(29)
+    families = [([(0,)], True), ([(1,)], False), ([(-1,)], False), ([(2 ** 61,)], False)]
+    for _ in range(150):
+        sizes = [rng.randrange(1, 6) for _ in range(rng.randrange(1, 10))]
+        total = sum(sizes)
+        lists = [rng.choices(range(min(total, 6)), k=size) for size in sizes]
+        for extreme, dense in ((total - 1, True), (total, False), (-1, False), (2 ** 61, False)):
+            family = [list(lst) for lst in lists]
+            lst = rng.choice(family)
+            lst[rng.randrange(len(lst))] = extreme
+            families.append((family, dense))
+    for family, dense in families:
+        dicts.clear()
+        assert_overlaps_match_rows(tuple(map(tuple, family)))
+        assert bool(dicts) == (not dense), family
+
+
+def test_pair_overlaps_saturates_the_top_plane_on_identical_lists():
+    # n copies of one list share all k entries, far above c = 0..3, so every
+    # entry past the c-th carries into the saturated top plane
+    rng = random.Random(30)
+    for k in (1, 2, 3, 5, 8, 13, 21, 40):
+        for n in (2, 3, 7):
+            lst = tuple(rng.sample(range(3 * k), k))
+            assert_overlaps_match_rows((lst,) * n)
