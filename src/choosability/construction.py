@@ -55,7 +55,8 @@ class ClassSpace:
         self.subgroup = frozenset(x for x in range(1, q) if fld.pow(x, c) == 1)
 
         # the orbit of x != 0 is its coset xH: one min across the rows t*x finds
-        # every coset's least member m, and (a, b) is in the class of (m, (m/a)*b)
+        # every coset's least member m, and (a, b), a != 0, is in the class of
+        # its least pair (m, (m/a)*b), m the least member of aH
         least = list(map(min, zip(*(fld.line(t, 0) for t in self.subgroup))))
         minima = sorted(set(least[1:]))
         if len(minima) * c != q - 1:  # the orbits on GF(q)* are cosets of c elements
