@@ -170,14 +170,15 @@ def verify_design(design: ListAssignment, q: int, c: int) -> DesignReport:
 
     A strictly increasing edge holds each vertex once, so when every edge
     is one the degrees are one `Counter` over all edges, and otherwise one
-    over each edge's set; the edges are walked only to name violations once
-    the builtin size, repeat and range checks fail.
+    over each edge's set; an edge repeats a vertex exactly when the degrees
+    sum to less than the edge sizes. The edges are walked only to name
+    violations once the builtin size, repeat and range checks fail.
     """
     lists, num_colors = design.lists, design.num_colors
-    vertex_sets = lists if all(map(_increasing, lists)) else list(map(set, lists))
-    degrees = Counter(chain.from_iterable(vertex_sets))
+    edges = lists if all(map(_increasing, lists)) else map(set, lists)  # sets built as counted
+    degrees = Counter(chain.from_iterable(edges))
     violations = []
-    if not (set(map(len, lists)) <= {q} and sum(map(len, vertex_sets)) == sum(map(len, lists))
+    if not (set(map(len, lists)) <= {q} and sum(degrees.values()) == sum(map(len, lists))
             and 0 <= min(degrees, default=0) and max(degrees, default=-1) < num_colors):
         for i, edge in enumerate(lists):
             if len(set(edge)) != len(edge):
