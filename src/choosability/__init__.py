@@ -29,7 +29,7 @@ from .construction import (
     verify_design,
 )
 from .gf import FiniteField, NotPrimePower, OrderUnavailable
-from .instances import ListAssignment
+from .instances import ColorOutOfRange, ListAssignment
 from .oracle import (
     ProbeReport,
     SearchTooLarge,
@@ -42,7 +42,6 @@ from .oracle import (
     list_colorable_graph,
 )
 from .solver import (
-    ColorOutOfRange,
     ColorabilityResult,
     ValidityReport,
     check_certificate,

@@ -8,11 +8,9 @@ every run and platform.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import stat
 import sys
-from itertools import chain
 
 from .instances import ListAssignment
 from .solver import ColorabilityResult
@@ -82,28 +80,23 @@ def loads_instance(text: str) -> ListAssignment:
     lists = data["lists"]
     _require(isinstance(lists, list), "field 'lists' must be an array")
     _require(len(lists) == n, f"expected {n} lists, found {len(lists)}")
-    # builtins check the whole family at once, and strictly increasing lists
-    # lie in range when their first and last colors do; only a family that
-    # fails is walked list by list and color by color, to name the first fault
-    if not (set(map(type, lists)) <= {list} and set(map(len, lists)) <= {k}
-            and set(map(type, chain.from_iterable(lists))) <= {int}
-            and all(all(map(operator.lt, lst, lst[1:])) for lst in lists)
-            and (k == 0 or 0 <= min(map(operator.itemgetter(0), lists), default=0)
-                 and max(map(operator.itemgetter(-1), lists), default=-1) < num_colors)):
-        for v, lst in enumerate(lists):
-            if not isinstance(lst, list):
-                raise FormatError(f"lists[{v}] must be an array")
-            if len(lst) != k:
-                raise FormatError(f"lists[{v}] has {len(lst)} colors, expected k={k}")
-            for color in lst:
-                if not (_is_int(color) and 0 <= color < num_colors):
-                    raise FormatError(f"lists[{v}] contains {color!r}, outside [0, {num_colors})")
-            if not all(map(operator.lt, lst, lst[1:])):
-                raise FormatError(f"lists[{v}] must be strictly increasing")
+    # a list that is no array of k colors is named only after the lists
+    # before it, which go to ListAssignment to have their colors checked
+    shaped = n
+    if not (set(map(type, lists)) <= {list} and set(map(len, lists)) <= {k}):
+        shaped = next(v for v, lst in enumerate(lists)
+                      if not (isinstance(lst, list) and len(lst) == k))
     meta = data.get("meta")
+    try:
+        assignment = ListAssignment(n=n, k=k, c=c, num_colors=num_colors,
+                                    lists=tuple(map(tuple, lists[:shaped])), meta=meta or None)
+    except ValueError as exc:  # ColorOutOfRange or a list not strictly increasing
+        raise FormatError(str(exc)) from exc
+    if shaped < n:
+        _require(isinstance(lists[shaped], list), f"lists[{shaped}] must be an array")
+        raise FormatError(f"lists[{shaped}] has {len(lists[shaped])} colors, expected k={k}")
     _require(meta is None or isinstance(meta, dict), "field 'meta' must be an object")
-    return ListAssignment(n=n, k=k, c=c, num_colors=num_colors,
-                          lists=tuple(map(tuple, lists)), meta=meta or None)
+    return assignment
 
 
 def instance_to_text(assignment: ListAssignment) -> str:

@@ -15,11 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
-from .instances import ListAssignment
-
-
-class ColorOutOfRange(ValueError):
-    """A list references a color id outside [0, num_colors)."""
+from .instances import ColorOutOfRange, ListAssignment  # solver exports ColorOutOfRange too
 
 
 @dataclass(frozen=True)
@@ -131,17 +127,8 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
     The violator is the set S of vertices reachable by alternating paths
     from the unmatched vertices of a maximum matching, the standard
     deficiency certificate: |S| - |N(S)| equals n minus the matching size.
-    Raises ColorOutOfRange for a listed color outside [0, num_colors).
     """
-    lists, num_colors = assignment.lists, assignment.num_colors
-    # builtins check every color at once; the lists are walked only to name the first bad one
-    if not (0 <= min(chain.from_iterable(lists), default=0)
-            and max(chain.from_iterable(lists), default=-1) < num_colors):
-        for v, lst in enumerate(lists):
-            for color in lst:
-                if not 0 <= color < num_colors:
-                    raise ColorOutOfRange(
-                        f"vertex {v} lists color {color}, universe is [0, {num_colors})")
+    lists = assignment.lists
     match_l, dist = _hopcroft_karp(lists)
     if -1 not in match_l:
         return ColorabilityResult(coloring=tuple(match_l))
@@ -153,30 +140,28 @@ def colorable(assignment: ListAssignment) -> ColorabilityResult:
     return ColorabilityResult(violator=(violator_s, neighbors))
 
 
-def pair_overlaps(lists, c: int):
-    """Yield (u, sizes, over) for each list u, in index order: `sizes` holds
-    the overlaps of at most max(c, 0) entries that u has with later lists,
-    and `over` is every later list v sharing more than c entries with u, as
-    (v, exact overlap) in index order. Any int is an entry, and a list that
-    repeats one holds it once. One pass reads the lists, each as given,
-    from the last to the first, with list v at bit n-1-v of each entry's
-    column, so the columns of list u hold exactly the later lists, in their
-    low n-1-u bits, and u's bit joins them once they are read. The columns
-    are a plain list indexed by entry when every entry lies in [0, T), T
-    the total entry count, and a dict otherwise, so they stay linear in the
-    input. Bit j of planes[i] is set when list n-1-j shares more than i
-    entries with u: a saturating unary counter over u's columns (Knuth,
-    TAOCP 4A §7.1.3), so each list costs O(k * c) operations on ints of
-    about n - u bits, not one AND per other list; a list that repeats an
-    entry is counted again over its distinct entries. The pass keeps only
+def pair_overlaps(assignment: ListAssignment, c: int):
+    """Yield (u, sizes, over) for each list u of `assignment`, in index
+    order: `sizes` holds the overlaps of at most max(c, 0) colors that u has
+    with later lists, and `over` is every later list v sharing more than c
+    colors with u, as (v, exact overlap) in index order. One pass reads the
+    lists, each as given, from the last to the first, with list v at bit
+    n-1-v of each color's column, so the columns of list u hold exactly the
+    later lists, in their low n-1-u bits, and u's bit joins them once they
+    are read. The columns are a plain list indexed by color when num_colors
+    is at most T, the total entry count, and a dict otherwise, so they stay
+    linear in the input. Bit j of planes[i] is set when list n-1-j shares
+    more than i colors with u: a saturating unary counter over u's columns
+    (Knuth, TAOCP 4A §7.1.3), so each list costs O(k * c) operations on ints
+    of about n - u bits, not one AND per other list. The pass keeps only
     each list's sizes and whether some later list is over c; a flagged
     list recounts its top plane when it is yielded.
     """
+    lists = assignment.lists
     n = len(lists)
     top = min(max(c, 0), max(map(len, lists), default=0))  # planes above plane 0
-    high = max(chain.from_iterable(lists), default=-1)
-    if 0 <= min(chain.from_iterable(lists), default=0) and high < sum(map(len, lists)):
-        columns = [0] * (high + 1)
+    if assignment.num_colors <= sum(map(len, lists)):
+        columns = [0] * assignment.num_colors
     else:
         columns = defaultdict(int)
 
@@ -205,11 +190,6 @@ def pair_overlaps(lists, c: int):
     for u in range(n - 1, -1, -1):
         lst, bit = lists[u], 1 << (n - 1 - u)
         planes = count(lst, bit)
-        # the columns hold no earlier list, so u's own bit reaches plane 0
-        # only through an entry read twice; count such a list again, once
-        # per entry, over the later lists
-        if planes[0] >= bit:
-            planes = [plane & (bit - 1) for plane in count(set(lst), 0)]
         # the later lists sharing i or more entries nest; where two differ, some list shares i
         record, above = 0, bit - 1
         for i, plane in enumerate(planes):
@@ -242,7 +222,7 @@ def validate_assignment(assignment: ListAssignment, k: int, c: int) -> ValidityR
             return ValidityReport(valid=False, bad_vertex=v)
     if c >= k:  # lists of size k share at most k colors
         return ValidityReport(valid=True)
-    for u, _, over in pair_overlaps(lists, c):
+    for u, _, over in pair_overlaps(assignment, c):
         if over:
             v, size = over[0]
             return ValidityReport(valid=False, bad_pair=(u, v), overlap=size)

@@ -15,7 +15,7 @@ from choosability.construction import (
     verify_design,
 )
 from choosability.gf import FiniteField, OrderUnavailable
-from choosability.instances import ListAssignment
+from choosability.instances import ColorOutOfRange, ListAssignment
 from conftest import (ADMISSIBLE_16, class_of, furedi_hypergraph, reference_class_table,
                       reference_verify_design)
 
@@ -320,17 +320,29 @@ def test_verify_design_flags_intersection_violation():
     assert any("intersect" in v for v in report.violations)
 
 
-def test_verify_design_flags_repeated_and_out_of_range_vertices():
+@pytest.mark.parametrize("faults, error, fragment", [
+    ({1: (0, 0, 6), 5: (0, 1, 99)}, ValueError, r"lists\[1\] must be strictly increasing"),
+    ({2: (6, 3, 0), 4: (1.5, 2, 3)}, ValueError, r"lists\[2\] must be strictly increasing"),
+    ({3: (-1, 2, 3), 6: (2, 1, 0)}, ColorOutOfRange, r"lists\[3\] contains -1, outside \[0, 8\)"),
+    ({0: (0, 3, 8), 7: (-1, 0, 1)}, ColorOutOfRange, r"lists\[0\] contains 8, outside \[0, 8\)"),
+    ({4: (True, 3, 6), 5: (0, 0, 1)}, ColorOutOfRange, r"lists\[4\] contains True, outside"),
+    ({2: (0, 1.5, 6), 6: (9, 8, 7)}, ColorOutOfRange, r"lists\[2\] contains 1.5, outside"),
+    ({5: ("1", 3, 6), 7: (0, 0, 0)}, ColorOutOfRange, r"lists\[5\] contains '1', outside"),
+], ids=["repeat", "out_of_order", "negative", "num_colors", "bool", "float", "str"])
+def test_list_assignment_refuses_a_malformed_family(faults, error, fragment):
+    # every audit relies on the lists being strictly increasing ints in
+    # [0, num_colors), so a family is refused when built or replaced, with
+    # its first faulty list named even when a later list is faulty too
     base = furedi_hypergraph(3, 1)
-    edges = list(base.lists)
-    edges[0] = (0, 0, 6)
-    edges[1] = edges[1][:-1] + (99,)
-    report = verify_design(replace(base, lists=tuple(edges)), 3, 1)
-    assert report.violations == ["edge 0 repeats a vertex: (0, 0, 6)",
-                                 "edge 1 references vertex 99 out of range"]
-    # a repeated vertex counts once, out-of-range vertices toward no degree:
-    # 3 and the last vertex of edge 1 lose an edge, the others keep three
-    assert report.degree_histogram == {2: 2, 3: 6}
+    lists = list(base.lists)
+    for v, lst in faults.items():
+        lists[v] = lst
+    for build in (lambda: ListAssignment(n=8, k=3, c=1, num_colors=8, lists=tuple(lists)),
+                  lambda: replace(base, lists=tuple(lists))):
+        with pytest.raises(error, match=fragment) as refused:
+            build()
+        assert type(refused.value) is error
+    assert ListAssignment(n=2, k=0, c=0, num_colors=0, lists=((), ())).lists == ((), ())
 
 
 def test_verify_design_counts_unheld_vertices_without_visiting_them():
@@ -344,51 +356,17 @@ def test_verify_design_counts_unheld_vertices_without_visiting_them():
     assert report.degree_histogram == {0: 10 ** 12 - 3, 1: 2, 2: 1}
 
 
-def test_verify_design_counts_shared_out_of_range_vertices():
-    # edges 0 = (0, 3, 6) and 2 = (2, 3, 4) meet in 3; a shared vertex -1,
-    # outside [0, 8) but still an element of both, raises that to 2 > c
-    base = furedi_hypergraph(3, 1)
-    edges = list(base.lists)
-    edges[0] = (-1, 0, 3)
-    edges[2] = (-1, 2, 3)
-    report = verify_design(replace(base, lists=tuple(edges)), 3, 1)
-    assert report.violations == ["edge 0 references vertex -1 out of range",
-                                 "edge 2 references vertex -1 out of range",
-                                 "edges 0 and 2 intersect in 2 > 1 vertices"]
-    assert report.max_intersection == 2
-
-
 def _assert_verify_matches_reference(design, q, c):
     for cap in (c - 1, c, c + 1):
         assert verify_design(design, q, cap) == reference_verify_design(design, q, cap)
 
 
 def test_verify_design_degree_paths_match_reference():
-    # the degrees come from one count over all edges when every edge is
-    # strictly increasing, and from each edge's set otherwise; both must
-    # match the reference, which counts each edge's distinct vertices
-    def increasing(design):
-        return all(list(edge) == sorted(set(edge)) for edge in design.lists)
-
+    # the degrees are one count over all edges, which must match the
+    # reference's count edge by edge
     for q, c in [(3, 1), (5, 2), (7, 3), (8, 1), (9, 4), (16, 5)]:
         base = augmented_hypergraph(q, c)
-        lists = base.lists
-
-        def with_edge(i, edge):
-            return replace(base, lists=lists[:i] + (edge,) + lists[i + 1:])
-
-        middle = len(lists) // 2
-        edge = lists[middle]
-        designs = [
-            (base, True),
-            (with_edge(middle, edge[::-1]), False),  # one edge out of order, no repeat
-            (with_edge(middle, (edge[0],) + edge[:-1]), False),  # one edge repeats a vertex
-            (with_edge(middle, edge[:-1] + (base.num_colors + 5,)), True),  # out of range
-            (with_edge(0, (-1,) + lists[0][1:]), True),  # out of range below
-            (replace(base, n=0, lists=()), True),  # the empty design
-        ]
-        for design, path in designs:
-            assert increasing(design) == path
+        for design in (base, replace(base, n=0, lists=())):  # and the empty design
             _assert_verify_matches_reference(design, q, c)
             _assert_verify_matches_reference(design, q + 1, c)  # every edge the wrong size
     empty = ListAssignment(n=0, k=3, c=1, num_colors=0, lists=())

@@ -94,6 +94,8 @@ def test_certificate_arrays_hold_only_integers(field, text, junk):
     ({6: [0, 4, 3], 8: [-1, 0, 1]}, r"lists\[6\] must be strictly increasing"),
     ({0: [1, 0, 9]}, r"lists\[0\] contains 9, outside"),
     ({9: "0 1 2"}, r"lists\[9\] must be an array"),
+    ({2: [0, 1, 99], 4: [0, 1]}, r"lists\[2\] contains 99, outside"),
+    ({2: [2, 1, 0], 4: "x"}, r"lists\[2\] must be strictly increasing"),
 ])
 def test_instance_loader_names_the_first_faulty_list(faults, fragment):
     # the loader checks the whole family at once and walks it only after a

@@ -298,7 +298,7 @@ def test_list_colorable_graph_agrees_with_per_assignment_colorer():
         n = rng.randint(0, 6)
         edges = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.6]
         lists = [rng.sample(palette, rng.randint(0, 4)) for _ in range(n)]
-        inst = assignment_from_lists(lists, c=4, num_colors=10**18 + 1)
+        inst = assignment_from_lists(lists, c=4, num_colors=2**61 + 1)
         want = reference_colorer(n, edges)(inst.lists)
         assert list_colorable_graph(SmallGraph.of(n, edges), inst) == want, (n, edges, lists)
         if n and not reference_colorer(n - 1, [e for e in edges if n - 1 not in e])(inst.lists):

@@ -1,12 +1,13 @@
 """The column counter behind both audits against the pairwise reference:
 `validate_assignment` and `verify_design` must report exactly what one AND
 per pair of lists reports, on the hard instances, on corrupted copies of
-them, and on small malformed lists."""
+them, and on small families of lists of the wrong sizes."""
 
 import random
 import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
+from itertools import chain
 
 from choosability import solver
 from choosability.construction import augmented_hypergraph, verify_design
@@ -72,15 +73,22 @@ def test_counter_matches_reference_on_corrupted_designs():
                 assert_matches_reference(corrupted, q, c)
 
 
+def over_own_colors(lists):
+    """`lists` as an assignment whose universe ends at its largest color."""
+    return ListAssignment(n=len(lists), k=0, c=0, lists=tuple(lists),
+                          num_colors=1 + max(chain.from_iterable(lists), default=-1))
+
+
 def test_counter_matches_reference_on_malformed_lists():
-    # duplicate entries, ids outside [0, num_colors) on both sides, lists of
-    # the wrong size, and caps from below zero to above k
-    rng = random.Random(7)
+    # lists of the wrong size, colors that no list holds, and caps from
+    # below zero to above k
+    rng, steps = random.Random(7), (-1, 0, 0, 0, 1)
     for _ in range(3000):
         n, k = rng.randrange(8), rng.randrange(5)
-        lists = tuple(tuple(rng.choices(range(-2, 9), k=max(0, k + rng.choice((-1, 0, 0, 0, 1)))))
+        lists = tuple(tuple(sorted(set(rng.choices(range(9), k=max(0, k + rng.choice(steps))))))
                       for _ in range(n))
-        design = ListAssignment(n=n, k=k, c=0, num_colors=rng.randrange(8), lists=lists)
+        held = 1 + max(chain.from_iterable(lists), default=-1)
+        design = ListAssignment(n=n, k=k, c=0, num_colors=max(rng.randrange(8), held), lists=lists)
         for c in range(-2, k + 2):
             assert_matches_reference(design, k, c)
 
@@ -91,43 +99,14 @@ def test_huge_cap_counts_no_further_than_the_longest_list():
 
 
 def test_pair_overlaps_matches_pairwise_reference():
-    # lists of unequal lengths with repeated entries, over ids that include
-    # negatives and 2**61, and every cap from below zero to past the longest
+    # lists of unequal lengths, over ids that include 2**61, and every cap
+    # from below zero to past the longest
     rng = random.Random(23)
-    ids = (-5, -1, 0, 1, 2, 3, 7, 2 ** 61, 2 ** 61 + 1)
-    families = [()] + [tuple(tuple(rng.choices(ids, k=rng.randrange(7)))
+    ids = (0, 1, 2, 3, 7, 2 ** 61, 2 ** 61 + 1)
+    families = [()] + [tuple(tuple(sorted(set(rng.choices(ids, k=rng.randrange(7)))))
                              for _ in range(rng.randrange(1, 13))) for _ in range(300)]
     for lists in families:
-        longest = max(map(len, lists), default=0)
-        for c in range(-2, longest + 2):
-            expected = [(u, {size for size in row if size <= max(c, 0)},
-                         [(u + 1 + j, size) for j, size in enumerate(row) if size > c])
-                        for u, row in overlap_rows(lists)]
-            assert list(pair_overlaps(lists, c)) == expected, (lists, c)
-
-
-def test_pair_overlaps_counts_a_repeated_entry_once():
-    # the pass reads each list as given and counts a list again only when
-    # an entry read twice put its own bit into plane 0: cover a repeat in
-    # list n - 1 (read first), in list 0, in every list, and of an entry
-    # that no other list holds
-    rng = random.Random(28)
-    families = [((5, 5),), ((0, 1, 9, 9), (0, 1, 2)), ((1, 2), (3, 7, 3, 3))]
-    for where in ("last", "first", "every", "private") * 60:
-        n = rng.randrange(1, 10)
-        lists = [rng.sample(range(12), rng.randrange(1, 6)) for _ in range(n)]
-        for v in {"last": [n - 1], "first": [0]}.get(where, range(n)):
-            lst = lists[v]
-            entry = 100 + v if where == "private" else rng.choice(lst)
-            for _ in range(1 + (where == "private")):
-                lst.insert(rng.randrange(len(lst) + 1), entry)
-        families.append(tuple(map(tuple, lists)))
-    for lists in families:
-        for c in range(-2, max(map(len, lists)) + 2):
-            expected = [(u, {size for size in row if size <= max(c, 0)},
-                         [(u + 1 + j, size) for j, size in enumerate(row) if size > c])
-                        for u, row in overlap_rows(lists)]
-            assert list(pair_overlaps(lists, c)) == expected, (lists, c)
+        assert_overlaps_match_rows(lists)
 
 
 def share_with(design, u, v, size):
@@ -162,10 +141,10 @@ def test_pair_overlaps_memory_stays_with_the_columns():
     # 20,000 distinct one-entry lists: the columns alone take n^2 / 2 bits,
     # about 23.8 MiB; keeping a set of entries per list until it is yielded
     # would add about 4 MiB more
-    lists = [(v,) for v in range(20000)]
+    design = over_own_colors([(v,) for v in range(20000)])
     tracemalloc.start()
     try:
-        for _ in pair_overlaps(lists, 0):
+        for _ in pair_overlaps(design, 0):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -174,20 +153,21 @@ def test_pair_overlaps_memory_stays_with_the_columns():
 
 
 def assert_overlaps_match_rows(lists):
-    """pair_overlaps(lists, c) against the pairwise reference at every cap
-    from below zero to past the longest list."""
+    """pair_overlaps over `lists` against the pairwise reference at every
+    cap from below zero to past the longest list."""
+    design = over_own_colors(lists)
     for c in range(-2, max(map(len, lists), default=0) + 2):
         expected = [(u, {size for size in row if size <= max(c, 0)},
                      [(u + 1 + j, size) for j, size in enumerate(row) if size > c])
                     for u, row in overlap_rows(lists)]
-        assert list(pair_overlaps(lists, c)) == expected, (lists, c)
+        assert list(pair_overlaps(design, c)) == expected, (lists, c)
 
 
 def test_pair_overlaps_on_both_column_containers(monkeypatch):
-    # the columns are a list indexed by entry when every entry lies in
-    # [0, T), T the family's entry count, and a dict otherwise: put one
-    # entry at T - 1, at T, at -1 and at 2**61, and record which container
-    # each family got
+    # the columns are a list indexed by color when num_colors is at most T,
+    # the family's entry count, and a dict otherwise: with num_colors one
+    # past the largest color, make that color T - 1, T or 2**61, and record
+    # which container each family got
     dicts = []
 
     class RecordedDict(defaultdict):
@@ -197,15 +177,14 @@ def test_pair_overlaps_on_both_column_containers(monkeypatch):
 
     monkeypatch.setattr(solver, "defaultdict", RecordedDict)
     rng = random.Random(29)
-    families = [([(0,)], True), ([(1,)], False), ([(-1,)], False), ([(2 ** 61,)], False)]
+    families = [([(0,)], True), ([(1,)], False), ([(2 ** 61,)], False)]
     for _ in range(150):
         sizes = [rng.randrange(1, 6) for _ in range(rng.randrange(1, 10))]
         total = sum(sizes)
-        lists = [rng.choices(range(min(total, 6)), k=size) for size in sizes]
-        for extreme, dense in ((total - 1, True), (total, False), (-1, False), (2 ** 61, False)):
+        lists = [sorted(rng.sample(range(min(total, 6)), size)) for size in sizes]
+        for extreme, dense in ((total - 1, True), (total, False), (2 ** 61, False)):
             family = [list(lst) for lst in lists]
-            lst = rng.choice(family)
-            lst[rng.randrange(len(lst))] = extreme
+            rng.choice(family)[-1] = extreme  # no color exceeds it, so the list stays increasing
             families.append((family, dense))
     for family, dense in families:
         dicts.clear()
@@ -219,5 +198,5 @@ def test_pair_overlaps_saturates_the_top_plane_on_identical_lists():
     rng = random.Random(30)
     for k in (1, 2, 3, 5, 8, 13, 21, 40):
         for n in (2, 3, 7):
-            lst = tuple(rng.sample(range(3 * k), k))
+            lst = tuple(sorted(rng.sample(range(3 * k), k)))
             assert_overlaps_match_rows((lst,) * n)

@@ -21,9 +21,9 @@ from conftest import (ADMISSIBLE_16, assignment_from_lists, kuhn_matching_size,
 
 
 def test_colorable_color_out_of_range():
-    a = assignment_from_lists([(0, 5)], c=1, num_colors=3)
-    with pytest.raises(ColorOutOfRange):
-        colorable(a)
+    # the assignment refuses the color when built, so colorable never sees it
+    with pytest.raises(ColorOutOfRange, match=r"lists\[0\] contains 5, outside \[0, 3\)"):
+        assignment_from_lists([(0, 5)], c=1, num_colors=3)
 
 
 # -- matching ---------------------------------------------------------------

@@ -103,6 +103,37 @@ def test_construction_does_not_decode_bit_positions():
     assert not hasattr(choosability.solver, "entry_columns")
 
 
+def _list_checks(tree):
+    """Every ColorOutOfRange built, `operator.lt` read and `_increasing`
+    named in `tree`, as "name (line N)"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ColorOutOfRange":
+            names = ["ColorOutOfRange"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+            names = [alias.name for alias in node.names if alias.name == "lt"]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "operator":
+            names = [node.attr] if node.attr == "lt" else []
+        elif isinstance(node, (ast.FunctionDef, ast.Name)):
+            names = [name for name in (getattr(node, "name", None), getattr(node, "id", None))
+                     if name == "_increasing"]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names]
+    return found
+
+
+def test_only_the_list_assignment_checks_colors():
+    """`ListAssignment` checks every family's colors when it is built, so
+    no other module builds ColorOutOfRange or tests a list for strict
+    increase, and `colorable`, `pair_overlaps`, `verify_design` and
+    `loads_instance` read the lists as well formed."""
+    found = {path.name: _list_checks(ast.parse(path.read_text(), filename=str(path)))
+             for path in SOURCES}
+    assert found.pop("instances.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_lru_cache_only_in_bounds():
     """`bounds` remembers its two prime searches, which `bounds --range`
     repeats; a cache anywhere else must first show traffic that repeats,
