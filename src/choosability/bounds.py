@@ -4,9 +4,9 @@ chi(n, c) here is the least list size k such that K_n is colorable from
 every assignment of k-color lists whose pairwise intersections have size
 at most c. Each bound is one function of (n, c) returning (value,
 provenance): `lower_bound_constructive` (the finite-field instances or a
-square-root fallback), `_lower_bound_asymptotic` (a value alone) and the
-Hall-threshold `upper_bound`; `bounds_report` composes them, and
-`exact_window` gives the windows of n where the value is known exactly.
+square-root fallback) and the Hall-threshold `upper_bound`;
+`bounds_reports` composes them with an asymptotic term, and `exact_window`
+gives the windows of n where the value is known exactly.
 
 Every threshold comparison runs on exact integers or rationals: several
 window endpoints (for example n = 15 at c = 1) are tight, and floating
@@ -14,15 +14,16 @@ point could misclassify them. Each bound takes O(polylog n) time: the Hall
 threshold is closed-form and the lower bounds step down over q = 1 (mod c)
 with `gf.is_prime`, so past its exact range (q >= psi_13, about 3.3e24,
 so n beyond about 1e48/c) they raise ValueError instead of guessing.
-Each step-down search depends only on the integers it reads, chiefly
-isqrt(c*(n-2)+1), and remembers its last answer, so a run of consecutive
-n (`bounds --range`) costs one search per distinct isqrt(c*(n-2)+1).
+A range (`bounds --range`) derives each step function of n that the bounds
+read once per step, not once per row; each step-down search also remembers
+its last answer, which serves per-n callers of `bounds_report`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,6 +148,11 @@ def _hall_q(n: int, c: int) -> int:
     return q
 
 
+def _upper(n: int, hall_q: int) -> tuple[int, str]:
+    """`upper_bound` at n, given hall_q = _hall_q(n, c)."""
+    return (n, "trivial-n") if n <= hall_q else (hall_q + 1, "hall-threshold")
+
+
 def upper_bound(n: int, c: int) -> tuple[int, str]:
     """Least k known to color every (k,c)-assignment on K_n, as (value,
     provenance): (q*+1, "hall-threshold") for the smallest integer q* whose
@@ -154,8 +160,13 @@ def upper_bound(n: int, c: int) -> tuple[int, str]:
     of size n always admit a saturating matching."""
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
-    hall = _hall_q(n, c) + 1
-    return (n, "trivial-n") if n < hall else (hall, "hall-threshold")
+    return _upper(n, _hall_q(n, c))
+
+
+def _constructive(n: int, c: int, q: int | None) -> tuple[int, str]:
+    """`lower_bound_constructive` at n, given q = _largest_admissible(_q_cap(n, c), c)."""
+    fallback = _ceil_sqrt_half(c * n)
+    return (q + 1, "constructive") if q is not None and q + 1 >= fallback else (fallback, "ktv")
 
 
 def lower_bound_constructive(n: int, c: int) -> tuple[int, str]:
@@ -170,30 +181,12 @@ def lower_bound_constructive(n: int, c: int) -> tuple[int, str]:
     """
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
-    q = _largest_admissible(_q_cap(n, c), c)
-    best = 0 if q is None else q + 1
-    fallback = _ceil_sqrt_half(c * n)
-    if best >= fallback:
-        return best, "constructive"
-    return fallback, "ktv"
+    return _constructive(n, c, _largest_admissible(_q_cap(n, c), c))
 
 
 def _q_cap(n: int, c: int) -> int:
     """isqrt(c*(n-2)+1), the largest q whose instance can fit in K_n; 0 at n = 1."""
     return math.isqrt(c * (n - 2) + 1) if n >= 2 else 0
-
-
-def _lower_bound_asymptotic(n: int, c: int) -> int | None:
-    """hi - ceil(n^(1/3)), hi = isqrt(c*(n-2)+1) + 1, if a prime q = 1 (mod c)
-    lies in [max(2, hi - ceil(n^(1/3))), hi], else None. That window holds hi,
-    whose hard instance does not fit in K_n; every "asymptotic" row for
-    n <= 4000, c <= 5 rests on that prime, so no instance backs it (ROADMAP
-    item 8)."""
-    hi, cbrt = _q_cap(n, c) + 1, icbrt_ceil(n)
-    if _window_prime(hi, max(2, hi - cbrt), c) is None:
-        return None
-    # no floor on hi - cbrt: a floor at 1 could never beat a lower bound >= 1
-    return hi - cbrt
 
 
 @dataclass(frozen=True)
@@ -246,19 +239,41 @@ class BoundsReport:
     exact: int | None
 
 
-def bounds_report(n: int, c: int) -> BoundsReport:
-    """Best lower and upper bounds for (n, c), with exact value when they meet.
+def bounds_reports(lo: int, hi: int, c: int) -> Iterator[BoundsReport]:
+    """Best lower and upper bounds for (n, c), n = lo..hi, with the exact value
+    where they meet: the asymptotic term replaces the constructive bound where
+    strictly larger, and the lower bound is clamped at n, since n colors suffice.
 
-    Composes the bound functions, each of (n, c) to (value, provenance): the
-    asymptotic term replaces the constructive bound where strictly larger,
-    and the lower bound is clamped at n, since n colors always suffice on K_n.
+    Each input is a non-decreasing step function of n, derived again only
+    past the last n of its step: q_cap and its largest admissible q at
+    ((q_cap+1)^2-2)//c + 2; the window prime there or at ceil(n^(1/3))^3;
+    the Hall q at floor(vertex_count_bound(hall_q, c)).
     """
-    lower, tag = lower_bound_constructive(n, c)
-    asymptotic = _lower_bound_asymptotic(n, c)
-    if asymptotic is not None and asymptotic > lower:
-        lower, tag = asymptotic, "asymptotic"
-    lower = min(lower, n)
-    upper, upper_tag = upper_bound(n, c)
-    exact = lower if lower == upper else None
-    return BoundsReport(n=n, c=c, lower=lower, lower_provenance=tag,
-                        upper=upper, upper_provenance=upper_tag, exact=exact)
+    if lo < 1 or c < 1:
+        raise ValueError(f"need n >= 1 and c >= 1, got n={lo}, c={c}")
+    q_last = window_last = hall_last = lo - 1
+    for n in range(lo, hi + 1):
+        if n > window_last:
+            if n > q_last:
+                q_cap = _q_cap(n, c)
+                q, q_last = _largest_admissible(q_cap, c), ((q_cap + 1) ** 2 - 2) // c + 2
+            top, cube = q_cap + 1, icbrt_ceil(n)
+            window_last = min(q_last, cube ** 3)
+            # top's instance does not fit in K_n, so no instance backs the term (ROADMAP
+            # item 8); it has no floor at 1, which could never beat a lower bound >= 1
+            asymptotic = None if _window_prime(top, max(2, top - cube), c) is None else top - cube
+        if n > hall_last:
+            hall_q = _hall_q(n, c)
+            hall_last = math.floor(vertex_count_bound(hall_q, c))
+        lower, tag = _constructive(n, c, q)
+        if asymptotic is not None and asymptotic > lower:
+            lower, tag = asymptotic, "asymptotic"
+        lower = min(lower, n)
+        upper, upper_tag = _upper(n, hall_q)
+        yield BoundsReport(n=n, c=c, lower=lower, lower_provenance=tag, upper=upper,
+                           upper_provenance=upper_tag, exact=lower if lower == upper else None)
+
+
+def bounds_report(n: int, c: int) -> BoundsReport:
+    """`bounds_reports` at the one n."""
+    return next(bounds_reports(n, n, c))

@@ -99,9 +99,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 def cmd_bounds(args) -> int:
     lo, hi = _parse_range(args.range) if args.range is not None else (args.n, args.n)
     # each row is the BoundsReport's fields, in declaration order, plus "ktv"
-    rows = [vars(bounds_mod.bounds_report(n, args.c))
-            | {"ktv": bounds_mod.ktv_reference_bounds(n, args.c)}
-            for n in range(lo, hi + 1)]
+    rows = [vars(report) | {"ktv": bounds_mod.ktv_reference_bounds(report.n, args.c)}
+            for report in bounds_mod.bounds_reports(lo, hi, args.c)]
     if args.json:
         sys.stdout.write(formats.json_line(rows))
         return EXIT_OK

@@ -4,12 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from choosability.bounds import (
     AdmissibilityViolated,
     DegenerateDenominator,
     _hall_q,
     bounds_report,
+    bounds_reports,
     exact_window,
     icbrt_ceil,
     is_admissible,
@@ -22,6 +24,7 @@ from choosability.bounds import (
     vertex_count_bound,
 )
 from choosability import bounds
+from choosability.gf import _MR_EXACT_BELOW as PSI_13
 from conftest import (
     admissible_prime_powers,
     furedi_hypergraph,
@@ -307,6 +310,90 @@ def test_refusal_is_not_remembered():
         with pytest.raises(ValueError, match="is_prime"):
             bounds_report(10 ** 50, 1)
     assert bounds_report(10 ** 49, 1).lower == 3162277660168379331998874
+
+
+# -- the range walker -----------------------------------------------------------
+
+def _step_ends(c, n_max):
+    """The last n of every step the walker keeps, up to n_max: of q_cap, of
+    ceil(n^(1/3)) and of the Hall q."""
+    q_caps = {bounds._q_cap(n, c) for n in range(1, n_max + 1)}
+    ends = {((q_cap + 1) ** 2 - 2) // c + 2 for q_cap in q_caps}
+    ends |= {icbrt_ceil(n) ** 3 for n in range(1, n_max + 1)}
+    ends |= {math.floor(vertex_count_bound(_hall_q(n, c), c)) for n in range(1, n_max + 1)}
+    return sorted(end for end in ends if end <= n_max)
+
+
+def _assert_walk_matches(lo, hi, c):
+    rows = list(bounds_reports(lo, hi, c))
+    assert rows == [bounds_report(n, c) for n in range(lo, hi + 1)], (lo, hi, c)
+    assert rows == [reference_bounds_report(n, c) for n in range(lo, hi + 1)], (lo, hi, c)
+
+
+def test_walker_matches_per_n_from_1():
+    for c in range(1, 9):
+        _assert_walk_matches(1, 4000, c)
+
+
+def test_walker_matches_per_n_around_step_ends():
+    # a walk that starts one before, at or one after the last n of a step
+    for c in range(1, 9):
+        for end in _step_ends(c, 1500):
+            for lo in range(max(1, end - 1), end + 2):
+                _assert_walk_matches(lo, lo + 6, c)
+
+
+def test_walker_single_row_and_empty_ranges():
+    for c in range(1, 9):
+        for n in (1, 2, 3, 14, 15, 16, 999, 10 ** 12 + 123457):
+            assert list(bounds_reports(n, n, c)) == [bounds_report(n, c)]
+            assert bounds_report(n, c) == reference_bounds_report(n, c)
+        assert list(bounds_reports(10, 9, c)) == []
+    with pytest.raises(ValueError, match="need n >= 1 and c >= 1, got n=0, c=1"):
+        list(bounds_reports(0, 5, 1))
+
+
+@pytest.mark.parametrize("lo", [10 ** 12, 10 ** 13, 10 ** 18])
+def test_walker_matches_reference_at_large_n(lo):
+    _assert_walk_matches(lo, lo + 1999, 1000)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(lo=st.integers(1, 10 ** 13), span=st.integers(0, 200), c=st.integers(1, 50))
+def test_walker_matches_per_n_property(lo, span, c):
+    _assert_walk_matches(lo, lo + span, c)
+
+
+def test_walker_searches_once_per_step(monkeypatch):
+    # with the per-n caches bypassed, only the walker's steps keep the count down
+    calls = []
+    for name in ("is_prime", "is_admissible"):
+        real = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *a, real=real: calls.append(1) or real(*a))
+    for name in ("_largest_admissible", "_window_prime"):
+        monkeypatch.setattr(bounds, name, getattr(bounds, name).__wrapped__)
+    for c in range(1, 9):
+        calls.clear()
+        rows = list(bounds_reports(1, 4000, c))
+        steps = (len({bounds._q_cap(n, c) for n in range(1, 4001)})
+                 + len({icbrt_ceil(n) for n in range(1, 4001)}))
+        assert len(rows) == 4000 and len(calls) <= 8 * steps, (c, len(calls), steps)
+
+
+# the first n at c = 1 whose window search starts at psi_13: its q_cap is psi_13 - 1
+FIRST_REFUSED = (PSI_13 - 1) ** 2 + 1
+
+
+def test_refusal_inside_a_range():
+    assert bounds_report(FIRST_REFUSED - 1, 1) == reference_bounds_report(FIRST_REFUSED - 1, 1)
+    with pytest.raises(ValueError) as per_n:
+        bounds_report(FIRST_REFUSED, 1)
+    assert str(per_n.value) == f"is_prime is exact only below {PSI_13}, got {PSI_13}"
+    walk = bounds_reports(FIRST_REFUSED - 3, FIRST_REFUSED + 3, 1)
+    assert [next(walk).n for _ in range(3)] == list(range(FIRST_REFUSED - 3, FIRST_REFUSED))
+    with pytest.raises(ValueError) as in_range:
+        next(walk)
+    assert str(in_range.value) == str(per_n.value)
 
 
 def test_sandwich_small_sweep():

@@ -282,6 +282,19 @@ def test_bounds_refusal_repeats_in_one_process(capsys):
     assert run(capsys, "bounds", "--n", str(10 ** 50), "--c", "1") == first
 
 
+def test_bounds_refusal_inside_a_range_exits_2(capsys):
+    # (psi_13 - 1)**2 + 1 is the first n at c = 1 whose window search reaches psi_13;
+    # every row is built before any prints, so the rows before it print nothing
+    first = (PSI_13 - 1) ** 2 + 1
+    refused = run(capsys, "bounds", "--n", str(first), "--c", "1")
+    assert refused[0] == 2 and refused[1] == "" and "is_prime" in refused[2]
+    for fmt in ([], ["--json"]):
+        argv = ["bounds", "--range", f"{first - 3}..{first + 3}", "--c", "1", *fmt]
+        assert run(capsys, *argv) == refused
+        argv[2] = f"{first - 3}..{first - 1}"
+        assert run(capsys, *argv)[0] == 0
+
+
 def test_bounds_reference_interval_overflow_exits_2(capsys):
     code, out, err = run(capsys, "bounds", "--n", "5", "--c", str(10 ** 400))
     assert code == 2 and out == ""

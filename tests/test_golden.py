@@ -18,7 +18,11 @@ closed forms and a descending Miller-Rabin search (commit 6adfa9f). The
 digests of `choosability bounds --range 1000000000000..1000000019999` at
 C = 3 (`--json`) and C = 7 (text), a range that does not start at n = 1,
 were taken from the implementation before each step-down search kept its
-last answer for the next row (commit 9d7d1fe).
+last answer for the next row (commit 9d7d1fe). The digests of
+`choosability bounds --range 1000000000000000000..1000000000000019999
+--c 1000`, in `--json` and text form, a range where every step of the
+bounds ends at a large integer, were taken from the implementation before a
+range derived each input of the bounds once per step (commit d003e54).
 
 The `exact` and `probe` digests are of the `--json` output of
 `choosability exact --n N --c C` and `choosability probe --nmax 4 --c C`
@@ -151,6 +155,12 @@ GOLDEN_BOUNDS_FAR_RANGE_SHA256 = {
 }
 
 
+GOLDEN_BOUNDS_HUGE_RANGE_SHA256 = {
+    False: "917ea3c01ac6ca4a8d81950cb9c41dd16b02f66f2796dc7722477963bd373e25",
+    True: "7977f2320355e832bba1a7150d81a387c50502030756cdfb653dd1842efa1bba",
+}
+
+
 def _stdout_sha256(capsys, argv) -> str:
     capsys.readouterr()
     assert main(argv) == 0
@@ -167,6 +177,13 @@ def test_bounds_range_bytes_match_golden_digest(capsys, c):
 def test_bounds_far_range_bytes_match_golden_digest(capsys, c):
     argv = ["bounds", "--range", "1000000000000..1000000019999", "--c", str(c), "--json"]
     assert _stdout_sha256(capsys, argv) == GOLDEN_BOUNDS_FAR_RANGE_SHA256[c]
+
+
+@pytest.mark.parametrize("as_json", sorted(GOLDEN_BOUNDS_HUGE_RANGE_SHA256))
+def test_bounds_huge_range_bytes_match_golden_digest(capsys, as_json):
+    argv = ["bounds", "--range", "1000000000000000000..1000000000000019999", "--c", "1000"]
+    argv += ["--json"] if as_json else []
+    assert _stdout_sha256(capsys, argv) == GOLDEN_BOUNDS_HUGE_RANGE_SHA256[as_json]
 
 
 @pytest.mark.parametrize("n, c", sorted(GOLDEN_BOUNDS_N_SHA256))

@@ -134,6 +134,25 @@ def test_only_the_list_assignment_checks_colors():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _callers(tree, names):
+    """The top-level definitions of `tree` ("<module>" for other statements)
+    that call one of `names` as `f(...)` or `module.f(...)`."""
+    return sorted({getattr(top, "name", "<module>") for top in tree.body
+                   for node in ast.walk(top) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None)) in names})
+
+
+def test_only_the_walker_composes_bounds_reports():
+    """`bounds.bounds_reports` is the one composition of a `BoundsReport`:
+    it alone builds one, `bounds_report` is its single row, and `cli` reads
+    a range's rows from it instead of calling a bound once per n."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    builders = [f"{stem}.{name}" for stem, tree in trees.items()
+                for name in _callers(tree, {"BoundsReport"})]
+    per_n = _callers(trees["cli"], {"bounds_report", "lower_bound_constructive", "upper_bound"})
+    assert builders + [f"cli.{name}" for name in per_n] == ["bounds.bounds_reports"]
+
+
 def test_lru_cache_only_in_bounds():
     """`bounds` remembers its two prime searches, which `bounds --range`
     repeats; a cache anywhere else must first show traffic that repeats,
