@@ -133,7 +133,7 @@ def hard_instance(q: int, c: int) -> ListAssignment:
         edges.append(tuple(sorted(members)))
     fld = space.field
     return ListAssignment(
-        n=len(edges), k=q, c=c, num_colors=fresh + 1, lists=tuple(edges),
+        k=q, c=c, num_colors=fresh + 1, lists=edges,
         meta={"q": q, "c": c, "p": fld.p, "m": fld.m,
               "modulus": list(fld.modulus) if fld.modulus is not None else None,
               "construction": "furedi-augmented"})

@@ -60,38 +60,33 @@ def _require(condition: bool, message: str) -> None:
         raise FormatError(message)
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass; JSON true/false must not pass as numbers
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def loads_instance(text: str) -> ListAssignment:
+    """Read an instance file: check what JSON adds to a `ListAssignment` and
+    re-raise the type's checks as a `FormatError`, naming the first fault read."""
     data = _parse_json(text)
     _require(isinstance(data, dict), "instance must be a JSON object")
     for key in ("format_version", "n", "c", "k", "num_colors", "lists"):
         _require(key in data, f"missing required field '{key}'")
     version = data["format_version"]
-    _require(_is_int(version) and version == INSTANCE_FORMAT_VERSION,
+    _require(type(version) is int and version == INSTANCE_FORMAT_VERSION,
              f"unsupported format_version {version!r}")
-    n, c, k, num_colors = data["n"], data["c"], data["k"], data["num_colors"]
-    for name, value in (("n", n), ("c", c), ("k", k), ("num_colors", num_colors)):
-        _require(_is_int(value) and value >= 0,
-                 f"field '{name}' must be a nonnegative integer, got {value!r}")
-    lists = data["lists"]
-    _require(isinstance(lists, list), "field 'lists' must be an array")
-    _require(len(lists) == n, f"expected {n} lists, found {len(lists)}")
-    # a list that is no array of k colors is named only after the lists
-    # before it, which go to ListAssignment to have their colors checked
-    shaped = n
-    if not (set(map(type, lists)) <= {list} and set(map(len, lists)) <= {k}):
-        shaped = next(v for v, lst in enumerate(lists)
-                      if not (isinstance(lst, list) and len(lst) == k))
+    n, k, lists = data["n"], data["k"], data["lists"]
+    _require(type(n) is int and n >= 0, f"field 'n' must be a nonnegative integer, got {n!r}")
+    # the type checks the header first, then the lists before the first one
+    # that is no array of k colors; a bad array of lists is named after the header
+    family = lists if isinstance(lists, list) and len(lists) == n else []
+    shaped = len(family)
+    if not (type(k) is int and set(map(type, family)) <= {list} and set(map(len, family)) <= {k}):
+        shaped = next((v for v, lst in enumerate(family)
+                       if not (isinstance(lst, list) and len(lst) == k)), shaped)
     meta = data.get("meta")
     try:
-        assignment = ListAssignment(n=n, k=k, c=c, num_colors=num_colors,
-                                    lists=tuple(map(tuple, lists[:shaped])), meta=meta or None)
-    except ValueError as exc:  # ColorOutOfRange or a list not strictly increasing
+        assignment = ListAssignment(k=k, c=data["c"], num_colors=data["num_colors"],
+                                    lists=family[:shaped], meta=meta or None)
+    except ValueError as exc:  # a header field, ColorOutOfRange or a list out of order
         raise FormatError(str(exc)) from exc
+    _require(isinstance(lists, list), "field 'lists' must be an array")
+    _require(len(lists) == n, f"expected {n} lists, found {len(lists)}")
     if shaped < n:
         _require(isinstance(lists[shaped], list), f"lists[{shaped}] must be an array")
         raise FormatError(f"lists[{shaped}] has {len(lists[shaped])} colors, expected k={k}")

@@ -13,29 +13,36 @@ class ColorOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class ListAssignment:
-    """Per-vertex color lists for K_n, colors drawn from [0, num_colors).
+    """Per-vertex color lists for K_n, n = len(lists), colors from [0, num_colors).
 
-    `lists[v]` is a strictly increasing tuple of color ids, each of type
-    `int` and in [0, num_colors). Building an assignment, or replacing its
-    fields, checks that for every list and names the first faulty one:
-    ColorOutOfRange for a color of another type or outside the range, and
-    ValueError for a list that is not strictly increasing. `k` is the
-    intended list size and `c` the intended pairwise-intersection cap;
-    whether the lists satisfy them is checked by solver.validate_assignment.
+    Building an assignment, or replacing its fields, checks `c`, `k` and
+    `num_colors` in that order, each an int >= 0 (ValueError), then names
+    the first list holding a color that is no `int` in [0, num_colors)
+    (ColorOutOfRange) or that is not strictly increasing (ValueError).
+    `lists` is stored as a tuple of tuples. `k` is the intended list size
+    and `c` the intended pairwise-intersection cap; whether the lists
+    satisfy them is checked by solver.validate_assignment.
 
-    `meta` optionally carries construction provenance (field parameters
-    and the like) and is passed through to serialized instance files.
+    `meta` optionally carries construction provenance and is passed through
+    to serialized instance files; it is a dict, so an assignment is unhashable.
     """
 
-    n: int
     k: int
     c: int
     num_colors: int
     lists: tuple[tuple[int, ...], ...]
     meta: dict | None = None
 
+    @property
+    def n(self) -> int:
+        return len(self.lists)
+
     def __post_init__(self):
-        lists, num_colors = self.lists, self.num_colors
+        for name, value in (("c", self.c), ("k", self.k), ("num_colors", self.num_colors)):
+            if type(value) is not int or value < 0:
+                raise ValueError(f"field '{name}' must be a nonnegative integer, got {value!r}")
+        lists, num_colors = tuple(map(tuple, self.lists)), self.num_colors
+        object.__setattr__(self, "lists", lists)
         # builtins check the whole family at once, and a strictly increasing
         # list lies in range when its first and last colors do; the lists are
         # walked only when a check fails, to name the first faulty one

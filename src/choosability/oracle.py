@@ -237,9 +237,8 @@ def list_colorable_graph(graph: SmallGraph, assignment: ListAssignment) -> bool:
     """Proper list-colorability of an arbitrary graph, by `_colorer`'s
     backtracking. Raises ValueError when the assignment does not have one
     list per vertex."""
-    if len(assignment.lists) != graph.n:
-        raise ValueError(
-            f"assignment has {len(assignment.lists)} lists for {graph.n} vertices")
+    if assignment.n != graph.n:
+        raise ValueError(f"assignment has {assignment.n} lists for {graph.n} vertices")
     used = _colorer(graph.n, graph.edges)(assignment.lists)
     return not graph.n or (used is not None and not used.issuperset(assignment.lists[-1]))
 

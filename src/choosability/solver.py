@@ -30,6 +30,10 @@ class ColorabilityResult:
     coloring: tuple[int, ...] | None = None
     violator: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
+    def __post_init__(self):
+        if (self.coloring is None) == (self.violator is None):
+            raise ValueError("exactly one of coloring and violator must be set")
+
     @property
     def colorable(self) -> bool:
         return self.coloring is not None
@@ -157,8 +161,7 @@ def pair_overlaps(assignment: ListAssignment, c: int):
     each list's sizes and whether some later list is over c; a flagged
     list recounts its top plane when it is yielded.
     """
-    lists = assignment.lists
-    n = len(lists)
+    lists, n = assignment.lists, assignment.n
     top = min(max(c, 0), max(map(len, lists), default=0))  # planes above plane 0
     if assignment.num_colors <= sum(map(len, lists)):
         columns = [0] * assignment.num_colors

@@ -8,8 +8,9 @@ pruned generator, one AND per pair of lists instead of the column counter,
 a full coloring search per assignment instead of one search of G - w per
 run of assignments, an orbit scan of every pair instead of the class table
 built from whole multiplication rows, both step-down prime searches rerun
-on every row of a bounds table instead of remembered per search key), so
-agreement is meaningful.
+on every row of a bounds table instead of remembered per search key, every
+header field checked by the instance loader instead of by `ListAssignment`),
+so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from choosability.bounds import (
     is_prime,
 )
 from choosability.construction import ClassSpace, DesignReport
+from choosability.formats import INSTANCE_FORMAT_VERSION, FormatError, _parse_json, _require
 from choosability.gf import FiniteField
 from choosability.instances import ListAssignment
 from choosability.oracle import iter_canonical_assignments
@@ -37,6 +39,11 @@ from choosability.solver import ValidityReport
 # acceptance criteria name
 ADMISSIBLE_16 = [(q, c) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16)
                  for c in range(1, q - 1) if (q - 1) % c == 0]
+
+
+# a header field that is no int >= 0: negative, a bool, a float, a string,
+# null and an array, which is unhashable
+BAD_HEADER_VALUES = [-1, True, 3.0, "5", None, [1]]
 
 
 def admissible_prime_powers(c: int, q_max: int) -> list[int]:
@@ -56,8 +63,7 @@ def assignment_from_lists(lists, c: int, num_colors: int | None = None,
         k = len(norm[0]) if norm else 0
     if num_colors is None:
         num_colors = 1 + max((lst[-1] for lst in norm if lst), default=-1)
-    return ListAssignment(n=len(norm), k=k, c=c, num_colors=num_colors,
-                          lists=norm, meta=meta)
+    return ListAssignment(k=k, c=c, num_colors=num_colors, lists=norm, meta=meta)
 
 
 def furedi_hypergraph(q: int, c: int) -> ListAssignment:
@@ -67,7 +73,7 @@ def furedi_hypergraph(q: int, c: int) -> ListAssignment:
     refuses."""
     space = ClassSpace(FiniteField(q), c)
     edges = tuple(space.list_of_class(i) for i in range(len(space.reps)))
-    return ListAssignment(n=len(edges), k=q, c=c, num_colors=len(edges), lists=edges)
+    return ListAssignment(k=q, c=c, num_colors=len(edges), lists=edges)
 
 
 def class_of(space: ClassSpace, a: int, b: int) -> int:
@@ -337,6 +343,48 @@ def reference_validate_assignment(assignment, k: int, c: int) -> ValidityReport:
             if size > c:
                 return ValidityReport(valid=False, bad_pair=(u, u + 1 + j), overlap=size)
     return ValidityReport(valid=True)
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass; JSON true/false must not pass as numbers
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def reference_loads_instance(text: str) -> ListAssignment:
+    """`formats.loads_instance` as it was when it checked every header field
+    itself, before it left `c`, `k` and `num_colors` to `ListAssignment`;
+    only the `n=` keyword the type no longer takes is dropped."""
+    data = _parse_json(text)
+    _require(isinstance(data, dict), "instance must be a JSON object")
+    for key in ("format_version", "n", "c", "k", "num_colors", "lists"):
+        _require(key in data, f"missing required field '{key}'")
+    version = data["format_version"]
+    _require(_is_int(version) and version == INSTANCE_FORMAT_VERSION,
+             f"unsupported format_version {version!r}")
+    n, c, k, num_colors = data["n"], data["c"], data["k"], data["num_colors"]
+    for name, value in (("n", n), ("c", c), ("k", k), ("num_colors", num_colors)):
+        _require(_is_int(value) and value >= 0,
+                 f"field '{name}' must be a nonnegative integer, got {value!r}")
+    lists = data["lists"]
+    _require(isinstance(lists, list), "field 'lists' must be an array")
+    _require(len(lists) == n, f"expected {n} lists, found {len(lists)}")
+    # a list that is no array of k colors is named only after the lists
+    # before it, which go to ListAssignment to have their colors checked
+    shaped = n
+    if not (set(map(type, lists)) <= {list} and set(map(len, lists)) <= {k}):
+        shaped = next(v for v, lst in enumerate(lists)
+                      if not (isinstance(lst, list) and len(lst) == k))
+    meta = data.get("meta")
+    try:
+        assignment = ListAssignment(k=k, c=c, num_colors=num_colors,
+                                    lists=tuple(map(tuple, lists[:shaped])), meta=meta or None)
+    except ValueError as exc:  # ColorOutOfRange or a list not strictly increasing
+        raise FormatError(str(exc)) from exc
+    if shaped < n:
+        _require(isinstance(lists[shaped], list), f"lists[{shaped}] must be an array")
+        raise FormatError(f"lists[{shaped}] has {len(lists[shaped])} colors, expected k={k}")
+    _require(meta is None or isinstance(meta, dict), "field 'meta' must be an object")
+    return assignment
 
 
 def reference_verify_design(design, q: int, c: int) -> DesignReport:

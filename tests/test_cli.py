@@ -575,7 +575,7 @@ def _loader_bases():
     with its Hall violator, and for its first nine lists with a coloring."""
     hard = hard_instance(3, 1)
     return [(json.loads(dumps_instance(inst)), json.loads(dumps_certificate(colorable(inst))))
-            for inst in (hard, replace(hard, n=9, lists=hard.lists[:-1], meta=None))]
+            for inst in (hard, replace(hard, lists=hard.lists[:-1], meta=None))]
 
 
 # raw integer literals at and one past the interpreter's digit limit: json.dumps

@@ -337,17 +337,17 @@ def test_list_assignment_refuses_a_malformed_family(faults, error, fragment):
     lists = list(base.lists)
     for v, lst in faults.items():
         lists[v] = lst
-    for build in (lambda: ListAssignment(n=8, k=3, c=1, num_colors=8, lists=tuple(lists)),
+    for build in (lambda: ListAssignment(k=3, c=1, num_colors=8, lists=tuple(lists)),
                   lambda: replace(base, lists=tuple(lists))):
         with pytest.raises(error, match=fragment) as refused:
             build()
         assert type(refused.value) is error
-    assert ListAssignment(n=2, k=0, c=0, num_colors=0, lists=((), ())).lists == ((), ())
+    assert ListAssignment(k=0, c=0, num_colors=0, lists=((), ())).lists == ((), ())
 
 
 def test_verify_design_counts_unheld_vertices_without_visiting_them():
     # two edges over 10**12 vertices: the vertices no edge holds are only counted
-    design = ListAssignment(n=2, k=2, c=1, num_colors=10 ** 12,
+    design = ListAssignment(k=2, c=1, num_colors=10 ** 12,
                             lists=((0, 1), (1, 10 ** 12 - 1)))
     start = time.perf_counter()
     report = verify_design(design, 2, 1)
@@ -366,8 +366,8 @@ def test_verify_design_degree_paths_match_reference():
     # reference's count edge by edge
     for q, c in [(3, 1), (5, 2), (7, 3), (8, 1), (9, 4), (16, 5)]:
         base = augmented_hypergraph(q, c)
-        for design in (base, replace(base, n=0, lists=())):  # and the empty design
+        for design in (base, replace(base, lists=())):  # and the empty design
             _assert_verify_matches_reference(design, q, c)
             _assert_verify_matches_reference(design, q + 1, c)  # every edge the wrong size
-    empty = ListAssignment(n=0, k=3, c=1, num_colors=0, lists=())
+    empty = ListAssignment(k=3, c=1, num_colors=0, lists=())
     _assert_verify_matches_reference(empty, 3, 1)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choosability.construction import hard_instance
 from choosability.formats import (
@@ -14,7 +16,8 @@ from choosability.formats import (
     loads_instance,
 )
 from choosability.solver import colorable
-from conftest import assignment_from_lists
+from conftest import BAD_HEADER_VALUES, assignment_from_lists, reference_loads_instance
+from test_cli import _LITERALS, _loader_bases, _mutated
 
 
 def test_instance_round_trip():
@@ -143,3 +146,63 @@ def test_integer_past_the_digit_limit_rejected(loads, text, mutate):
 def test_integer_at_the_digit_limit_loads():
     data = json.loads(dumps_instance(hard_instance(3, 1))) | {"num_colors": "@"}
     assert loads_instance(with_literal(data, "9" * 4300)).num_colors == 10 ** 4300 - 1
+
+
+@pytest.mark.parametrize("field", ["n", "c", "k", "num_colors"])
+@pytest.mark.parametrize("value", BAD_HEADER_VALUES)
+def test_instance_header_field_refused(field, value):
+    data = json.loads(dumps_instance(hard_instance(3, 1))) | {field: value}
+    with pytest.raises(FormatError) as refused:
+        loads_instance(json.dumps(data))
+    assert str(refused.value) == f"field '{field}' must be a nonnegative integer, got {value!r}"
+
+
+def _loaded(loads, doc):
+    """The message `loads` refuses `doc` with, or the bytes of the instance
+    it loads; a name in `_LITERALS` is spliced in as its raw digits."""
+    text = json.dumps(doc)
+    for name, digits in _LITERALS.items():
+        text = text.replace(json.dumps(name), digits)
+    try:
+        return dumps_instance(loads(text))
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def _assert_loads_like_reference(doc):
+    assert _loaded(loads_instance, doc) == _loaded(reference_loads_instance, doc), doc
+
+
+@settings(max_examples=2000, deadline=None, database=None)
+@given(st.sampled_from([pair[0] for pair in _loader_bases()]).flatmap(_mutated))
+def test_loader_matches_reference_on_mutated_documents(doc):
+    _assert_loads_like_reference(doc)
+
+
+def _list_faults(doc):
+    """Copies of `doc` with one fault in its lists: no array, the wrong
+    count, a list that is no array of k colors, or a bad color, each in the
+    first and in the last list."""
+    lists = doc["lists"]
+    yield from ({**doc, "lists": junk} for junk in ({"0": lists[0]}, "0 1 2", 7, None))
+    yield from ({**doc, "lists": lists[:-1]}, {**doc, "lists": lists + lists[:1]})
+    for v in (0, len(lists) - 1):
+        lst = lists[v]
+        for fault in (5, "x", {}, lst[:-1], lst + [0], [-1] + lst[1:], ["0"] + lst[1:],
+                      lst[:-1] + [99], lst[:-1] + [True], lst[::-1]):
+            yield {**doc, "lists": lists[:v] + [fault] + lists[v + 1:]}
+
+
+def test_loader_matches_reference_on_two_fault_documents():
+    # a bad header field together with a fault in the lists: the header is
+    # named first, whichever list fault the file also holds
+    checked = 0
+    for base, _ in _loader_bases():
+        for faulty in _list_faults(base):
+            for field in ("n", "c", "k", "num_colors"):
+                for value in BAD_HEADER_VALUES:
+                    doc = {**faulty, field: value}
+                    _assert_loads_like_reference(doc)
+                    assert _loaded(loads_instance, doc).startswith(f"FormatError: field '{field}'")
+                    checked += 1
+    assert checked == 2 * 26 * 4 * len(BAD_HEADER_VALUES)

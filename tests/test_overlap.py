@@ -40,7 +40,7 @@ def duplicate_list(design, rng):
     """Insert a copy of one list at a random position."""
     lists = list(design.lists)
     lists.insert(rng.randrange(len(lists) + 1), rng.choice(lists))
-    return replace(design, n=len(lists), lists=tuple(lists))
+    return replace(design, lists=tuple(lists))
 
 
 def raise_overlap(design, rng, size):
@@ -75,7 +75,7 @@ def test_counter_matches_reference_on_corrupted_designs():
 
 def over_own_colors(lists):
     """`lists` as an assignment whose universe ends at its largest color."""
-    return ListAssignment(n=len(lists), k=0, c=0, lists=tuple(lists),
+    return ListAssignment(k=0, c=0, lists=tuple(lists),
                           num_colors=1 + max(chain.from_iterable(lists), default=-1))
 
 
@@ -88,7 +88,7 @@ def test_counter_matches_reference_on_malformed_lists():
         lists = tuple(tuple(sorted(set(rng.choices(range(9), k=max(0, k + rng.choice(steps))))))
                       for _ in range(n))
         held = 1 + max(chain.from_iterable(lists), default=-1)
-        design = ListAssignment(n=n, k=k, c=0, num_colors=max(rng.randrange(8), held), lists=lists)
+        design = ListAssignment(k=k, c=0, num_colors=max(rng.randrange(8), held), lists=lists)
         for c in range(-2, k + 2):
             assert_matches_reference(design, k, c)
 
@@ -131,8 +131,8 @@ def test_counter_matches_reference_where_corruptions_touch_the_first_and_last_li
                           share_with(design, 0, last, c + 1),
                           share_with(design, last, 0, c + 1),
                           share_with(share_with(design, middle, 0, c + 1), middle, last, q),
-                          replace(design, n=design.n + 1, lists=lists + (lists[0],)),
-                          replace(design, n=design.n + 1, lists=(lists[last],) + lists)):
+                          replace(design, lists=lists + (lists[0],)),
+                          replace(design, lists=(lists[last],) + lists)):
             for cap in (c - 1, c, c + 1):
                 assert_matches_reference(corrupted, q, cap)
 

@@ -188,10 +188,11 @@ def test_validate_assignment_reports_first_pair_in_index_order():
 
 
 def test_validate_assignment_negative_cap():
-    # with no pair nothing exceeds the cap; otherwise (0, 1) is the first pair
+    # with no pair nothing exceeds the cap; otherwise (0, 1) is the first pair;
+    # the header's c must be nonnegative, so only the check's cap is -1
     for lists in ([], [(0, 1)]):
-        assert validate_assignment(assignment_from_lists(lists, c=-1), 2, -1).valid
-    report = validate_assignment(assignment_from_lists([(0, 1), (2, 3), (0, 1)], c=-1), 2, -1)
+        assert validate_assignment(assignment_from_lists(lists, c=0), 2, -1).valid
+    report = validate_assignment(assignment_from_lists([(0, 1), (2, 3), (0, 1)], c=0), 2, -1)
     assert report == ValidityReport(valid=False, bad_pair=(0, 1), overlap=0)
 
 
@@ -207,6 +208,13 @@ def test_verify_coloring_rejects_bad_colorings():
     assert not verify_coloring(inst, (2, 0, 1))  # 2 not in lists[0]
     assert not verify_coloring(inst, (0, 2))     # wrong length
     assert verify_coloring(inst, (0, 2, 1))
+
+
+@pytest.mark.parametrize("fields", [{}, {"coloring": (0, 1), "violator": ((0, 1), (0,))}],
+                         ids=["neither", "both"])
+def test_colorability_result_holds_exactly_one_certificate(fields):
+    with pytest.raises(ValueError, match="exactly one of coloring and violator"):
+        ColorabilityResult(**fields)
 
 
 @pytest.mark.parametrize("certificate, reason", [

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -10,6 +11,7 @@ import choosability
 from choosability import gf
 from choosability.construction import hard_instance
 from choosability.gf import FiniteField
+from choosability.instances import ListAssignment
 from conftest import ADMISSIBLE_16
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -132,6 +134,38 @@ def test_only_the_list_assignment_checks_colors():
              for path in SOURCES}
     assert found.pop("instances.py")
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _header_messages(tree):
+    """The text of every string literal in `tree` that says a field must be
+    a nonnegative integer, with each f-string placeholder as "{}"."""
+    found, parts = [], set()
+    for node in ast.walk(tree):  # an f-string comes before its parts
+        if isinstance(node, ast.JoinedStr):
+            parts.update(map(id, node.values))
+            text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                           for part in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in parts:
+            text = node.value
+        else:
+            continue
+        if "must be a nonnegative integer" in text:
+            found.append(text)
+    return found
+
+
+def test_only_the_list_assignment_checks_its_header():
+    """`ListAssignment` derives `n` from its lists and checks `c`, `k` and
+    `num_colors` when it is built, so it has no field `n`, the instance
+    loader checks only the file's own `n`, and no other module says that a
+    header field must be a nonnegative integer."""
+    assert "n" not in {field.name for field in dataclasses.fields(ListAssignment)}
+    found = {path.name: _header_messages(ast.parse(path.read_text(), filename=str(path)))
+             for path in SOURCES}
+    assert found.pop("instances.py") == ["field '{}' must be a nonnegative integer, got {}"]
+    assert found.pop("formats.py") == ["field 'n' must be a nonnegative integer, got {}"]
+    assert {name: texts for name, texts in found.items() if texts} == {}
+    assert not any("_is_int" in path.read_text() for path in SOURCES)
 
 
 def _callers(tree, names):
