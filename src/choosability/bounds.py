@@ -15,13 +15,11 @@ threshold is closed-form and the lower bounds step down over q = 1 (mod c)
 with `gf.is_prime`, so past its exact range (q >= psi_13, about 3.3e24,
 so n beyond about 1e48/c) they raise ValueError instead of guessing.
 A range (`bounds --range`) derives each step function of n that the bounds
-read once per step, not once per row; each step-down search also remembers
-its last answer, which serves per-n callers of `bounds_report`.
+read once per step, not once per row.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -68,15 +66,11 @@ def _largest_one_mod_c(hi: int, lo: int, c: int, accept) -> int | None:
     return None
 
 
-# One slot each: consecutive n of a range ask for the same key, and a
-# raised ValueError is not cached, so a refusal repeats on every call.
-@functools.lru_cache(maxsize=1)
 def _largest_admissible(q_cap: int, c: int) -> int | None:
     """Largest admissible prime power q <= q_cap, else None."""
     return _largest_one_mod_c(q_cap, c + 2, c, lambda q: is_admissible(q, c))
 
 
-@functools.lru_cache(maxsize=1)
 def _window_prime(hi: int, lo: int, c: int) -> int | None:
     """Largest prime q in [lo, hi] with q = 1 (mod c), else None."""
     return _largest_one_mod_c(hi, lo, c, is_prime)

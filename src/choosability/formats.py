@@ -75,14 +75,13 @@ def loads_instance(text: str) -> ListAssignment:
     # the type checks the header first, then the lists before the first one
     # that is no array of k colors; a bad array of lists is named after the header
     family = lists if isinstance(lists, list) and len(lists) == n else []
-    shaped = len(family)
-    if not (type(k) is int and set(map(type, family)) <= {list} and set(map(len, family)) <= {k}):
-        shaped = next((v for v, lst in enumerate(family)
-                       if not (isinstance(lst, list) and len(lst) == k)), shaped)
+    shaped = next((v for v, lst in enumerate(family)
+                   if not (isinstance(lst, list) and len(lst) == k)), len(family))
     meta = data.get("meta")
     try:
         assignment = ListAssignment(k=k, c=data["c"], num_colors=data["num_colors"],
-                                    lists=family[:shaped], meta=meta or None)
+                                    lists=family[:shaped],
+                                    meta=meta if isinstance(meta, dict) and meta else None)
     except ValueError as exc:  # a header field, ColorOutOfRange or a list out of order
         raise FormatError(str(exc)) from exc
     _require(isinstance(lists, list), "field 'lists' must be an array")

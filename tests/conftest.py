@@ -353,7 +353,9 @@ def _is_int(value) -> bool:
 def reference_loads_instance(text: str) -> ListAssignment:
     """`formats.loads_instance` as it was when it checked every header field
     itself, before it left `c`, `k` and `num_colors` to `ListAssignment`;
-    only the `n=` keyword the type no longer takes is dropped."""
+    only the `n=` keyword the type no longer takes is dropped, and a `meta`
+    that is no dict, which the type now refuses, is passed as None (it is
+    refused below the build either way)."""
     data = _parse_json(text)
     _require(isinstance(data, dict), "instance must be a JSON object")
     for key in ("format_version", "n", "c", "k", "num_colors", "lists"):
@@ -377,7 +379,8 @@ def reference_loads_instance(text: str) -> ListAssignment:
     meta = data.get("meta")
     try:
         assignment = ListAssignment(k=k, c=c, num_colors=num_colors,
-                                    lists=tuple(map(tuple, lists[:shaped])), meta=meta or None)
+                                    lists=tuple(map(tuple, lists[:shaped])),
+                                    meta=meta if isinstance(meta, dict) and meta else None)
     except ValueError as exc:  # ColorOutOfRange or a list not strictly increasing
         raise FormatError(str(exc)) from exc
     if shaped < n:

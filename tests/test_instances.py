@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from choosability.construction import hard_instance
-from choosability.instances import ListAssignment
+from choosability.instances import ColorOutOfRange, ListAssignment
 from choosability.solver import colorable, verify_coloring
 from conftest import BAD_HEADER_VALUES
 
@@ -63,3 +63,23 @@ def test_n_is_the_number_of_lists():
 def test_assignment_is_unhashable_while_meta_is_a_dict():
     with pytest.raises(TypeError):
         hash(hard_instance(3, 1))
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"lists": 7}, ValueError, "field 'lists' must be iterable, got 7"),
+    ({"lists": None}, ValueError, "field 'lists' must be iterable, got None"),
+    ({"lists": [5]}, ValueError, "lists[0] must be iterable, got 5"),
+    ({"lists": [[0], None]}, ValueError, "lists[1] must be iterable, got None"),
+    ({"lists": [[0], [2], None]}, ColorOutOfRange, "lists[1] contains 2, outside [0, 2)"),
+    ({"meta": 5}, ValueError, "field 'meta' must be a dict or None, got 5"),
+    ({"meta": [], "lists": [[0], None]}, ValueError, "lists[1] must be iterable, got None"),
+], ids=["lists-int", "lists-none", "list-int", "list-none", "color-before-list",
+        "meta-int", "list-before-meta"])
+def test_lists_and_meta_refused(fields, error, message):
+    base = {"k": 1, "c": 0, "num_colors": 2, "lists": ((0,), (1,))}
+    with pytest.raises(ValueError) as built:
+        ListAssignment(**base | fields)
+    with pytest.raises(ValueError) as replaced:
+        dataclasses.replace(ListAssignment(**base), **fields)
+    for refused in (built, replaced):
+        assert type(refused.value) is error and str(refused.value) == message

@@ -187,16 +187,14 @@ def test_only_the_walker_composes_bounds_reports():
     assert builders + [f"cli.{name}" for name in per_n] == ["bounds.bounds_reports"]
 
 
-def test_lru_cache_only_in_bounds():
-    """`bounds` remembers its two prime searches, which `bounds --range`
-    repeats; a cache anywhere else must first show traffic that repeats,
-    and the benchmark's fresh imports assume every other module starts
-    without remembered state."""
+def test_no_module_imports_a_cache():
+    """No module imports `functools.lru_cache` or `functools.cache`: a cache
+    must first show traffic that repeats, and the benchmark's fresh imports
+    assume every module starts without remembered state. `bounds --range`
+    derives each search once per step without one."""
     assert SOURCES
     found = []
     for path in SOURCES:
-        if path.name == "bounds.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and node.module == "functools":
                 names = [alias.name for alias in node.names]
