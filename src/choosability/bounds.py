@@ -58,22 +58,12 @@ def check_admissible(q: int, c: int) -> None:
 
 # -- prime searches and integer roots -----------------------------------------
 
-def _largest_one_mod_c(hi: int, lo: int, c: int, accept) -> int | None:
-    """Largest q in [lo, hi] with q = 1 (mod c) and accept(q), else None."""
-    for q in range(hi - (hi - 1) % c, lo - 1, -c):
-        if accept(q):
-            return q
-    return None
-
-
 def _largest_admissible(q_cap: int, c: int) -> int | None:
     """Largest admissible prime power q <= q_cap, else None."""
-    return _largest_one_mod_c(q_cap, c + 2, c, lambda q: is_admissible(q, c))
-
-
-def _window_prime(hi: int, lo: int, c: int) -> int | None:
-    """Largest prime q in [lo, hi] with q = 1 (mod c), else None."""
-    return _largest_one_mod_c(hi, lo, c, is_prime)
+    for q in range(q_cap - (q_cap - 1) % c, c + 1, -c):
+        if is_admissible(q, c):
+            return q
+    return None
 
 
 def icbrt_ceil(n: int) -> int:
@@ -240,8 +230,8 @@ def bounds_reports(lo: int, hi: int, c: int) -> Iterator[BoundsReport]:
 
     Each input is a non-decreasing step function of n, derived again only
     past the last n of its step: q_cap and its largest admissible q at
-    ((q_cap+1)^2-2)//c + 2; the window prime there or at ceil(n^(1/3))^3;
-    the Hall q at floor(vertex_count_bound(hall_q, c)).
+    ((q_cap+1)^2-2)//c + 2; the two primes that can let the asymptotic term win
+    there or at ceil(n^(1/3))^3; the Hall q at floor(vertex_count_bound(hall_q, c)).
     """
     if lo < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={lo}, c={c}")
@@ -253,9 +243,15 @@ def bounds_reports(lo: int, hi: int, c: int) -> Iterator[BoundsReport]:
                 q, q_last = _largest_admissible(q_cap, c), ((q_cap + 1) ** 2 - 2) // c + 2
             top, cube = q_cap + 1, icbrt_ceil(n)
             window_last = min(q_last, cube ** 3)
-            # top's instance does not fit in K_n, so no instance backs the term (ROADMAP
-            # item 8); it has no floor at 1, which could never beat a lower bound >= 1
-            asymptotic = None if _window_prime(top, max(2, top - cube), c) is None else top - cube
+            # the term top - cube needs a prime p = 1 (mod c) in [max(2, top - cube), top]
+            # and wins only at p = top, whose instance does not fit in K_n (ROADMAP item 8),
+            # or p = c + 1, not admissible: any other p is an admissible q <= q_cap, so the
+            # constructive bound is at least p + 1 > top - cube. The largest candidate goes
+            # first, so is_prime refuses past psi_13 where a search of the window would. The
+            # term has no floor at 1, which could never beat a lower bound >= 1
+            lo_w, first = max(2, top - cube), top - (top - 1) % c
+            asymptotic = top - cube if first >= lo_w and (
+                is_prime(first) and first == top or c + 1 >= lo_w and is_prime(c + 1)) else None
         if n > hall_last:
             hall_q = _hall_q(n, c)
             hall_last = math.floor(vertex_count_bound(hall_q, c))

@@ -8,7 +8,8 @@ pruned generator, one AND per pair of lists instead of the column counter,
 a full coloring search per assignment instead of one search of G - w per
 run of assignments, an orbit scan of every pair instead of the class table
 built from whole multiplication rows, both step-down prime searches rerun
-on every row of a bounds table instead of remembered per search key, every
+on every row of a bounds table instead of once per step, the asymptotic
+term's whole prime window searched instead of its two deciding primes, every
 header field checked by the instance loader instead of by `ListAssignment`),
 so agreement is meaningful.
 """
@@ -23,7 +24,6 @@ from choosability.bounds import (
     BoundsReport,
     _ceil_sqrt_half,
     _hall_q,
-    _largest_one_mod_c,
     icbrt_ceil,
     is_admissible,
     is_prime,
@@ -464,6 +464,14 @@ def reference_first_uncolorable(n: int, k: int, c: int, edges, cap: int):
         if not colorable(assignment):
             return assignment, checked
     return None, checked
+
+
+def _largest_one_mod_c(hi: int, lo: int, c: int, accept) -> int | None:
+    """Largest q in [lo, hi] with q = 1 (mod c) and accept(q), else None."""
+    for q in range(hi - (hi - 1) % c, lo - 1, -c):
+        if accept(q):
+            return q
+    return None
 
 
 def reference_lower_bound_constructive(n: int, c: int) -> tuple[int, str]:

@@ -29,7 +29,6 @@ from conftest import (
     admissible_prime_powers,
     furedi_hypergraph,
     reference_bounds_report,
-    reference_find_admissible_prime,
     reference_lower_bound_constructive,
     trial_division_is_prime,
 )
@@ -185,22 +184,6 @@ def test_lower_bound_constructive_matches_largest_admissible_prime_power():
                 assert 2 * value ** 2 >= c * n and (value == 1 or 2 * (value - 1) ** 2 < c * n)
 
 
-def _asymptotic_window_prime(n, c):
-    """The prime that admits bounds_report's asymptotic term at (n, c), or None."""
-    hi = bounds._q_cap(n, c) + 1
-    return bounds._window_prime(hi, max(2, hi - icbrt_ceil(n)), c)
-
-
-def test_window_prime():
-    found = _asymptotic_window_prime(10 ** 6, 2)
-    assert found == 1409
-    assert trial_division_is_prime(found) and (found - 1) % 2 == 0
-    assert 1315 <= found <= 1415
-    assert _asymptotic_window_prime(10, 5) is None
-    for n in (100, 500, 1000, 5000):
-        assert _asymptotic_window_prime(n, 1) is not None
-
-
 def test_exact_window_examples():
     window = exact_window(5, 2)
     assert (window.n_lo, window.n_hi, window.value) == (14, 16, 6)
@@ -282,17 +265,15 @@ _SWEEP_ORDERS = {
 
 
 @pytest.mark.parametrize("order", sorted(_SWEEP_ORDERS))
-def test_remembered_searches_match_reference(order):
+def test_sweep_orders_match_reference(order):
     for n, c in _SWEEP_ORDERS[order]:
         report = bounds_report(n, c)
         assert report == reference_bounds_report(n, c), (n, c)
         assert upper_bound(n, c) == (report.upper, report.upper_provenance)
         assert lower_bound_constructive(n, c) == reference_lower_bound_constructive(n, c)
-        if n >= 2:
-            assert _asymptotic_window_prime(n, c) == reference_find_admissible_prime(n, c)
 
 
-def test_refusal_is_not_remembered():
+def test_refusal_repeats():
     # q_cap = isqrt(10**50 - 1) is past psi_13, where is_prime refuses
     for _ in range(2):
         with pytest.raises(ValueError, match="is_prime"):
@@ -319,7 +300,8 @@ def _assert_walk_matches(lo, hi, c):
 
 
 def test_walker_matches_per_n_from_1():
-    for c in range(1, 9):
+    # c = 10 and 12 reach the rows whose asymptotic term rests on the prime c + 1
+    for c in range(1, 17):
         _assert_walk_matches(1, 4000, c)
 
 
@@ -379,6 +361,19 @@ def test_refusal_inside_a_range():
     with pytest.raises(ValueError) as in_range:
         next(walk)
     assert str(in_range.value) == str(per_n.value)
+
+
+# c = (psi_13 + 1) / 2 at n = 4c + 6: q_cap = 2c + 1 = psi_13 + 2 is no prime power by trial
+# division, so is_prime sees only the window's largest candidate, 2c + 1 again, and refuses
+REFUSED_C = (PSI_13 + 1) // 2
+REFUSED_N = 4 * REFUSED_C + 6
+
+
+@pytest.mark.parametrize("report", [bounds_report, reference_bounds_report])
+def test_refusal_at_the_largest_window_candidate(report):
+    with pytest.raises(ValueError) as refused:
+        report(REFUSED_N, REFUSED_C)
+    assert str(refused.value) == f"is_prime is exact only below {PSI_13}, got {PSI_13 + 2}"
 
 
 def test_sandwich_small_sweep():

@@ -295,6 +295,14 @@ def test_bounds_refusal_inside_a_range_exits_2(capsys):
         assert run(capsys, *argv)[0] == 0
 
 
+def test_bounds_refusal_at_the_largest_window_candidate_exits_2(capsys):
+    # n = 4c + 6 at c = (psi_13 + 1) / 2, whose window's largest candidate is psi_13 + 2
+    c = (PSI_13 + 1) // 2
+    code, out, err = run(capsys, "bounds", "--n", str(4 * c + 6), "--c", str(c))
+    assert code == 2 and out == ""
+    assert f"is_prime is exact only below {PSI_13}, got {PSI_13 + 2}" in err
+
+
 def test_bounds_reference_interval_overflow_exits_2(capsys):
     code, out, err = run(capsys, "bounds", "--n", "5", "--c", str(10 ** 400))
     assert code == 2 and out == ""

@@ -1,6 +1,8 @@
 """Instance and certificate serialization: round-trips and schema rejection."""
 
+import errno
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from choosability.formats import (
     instance_to_text,
     loads_certificate,
     loads_instance,
+    write_atomic,
 )
 from choosability.solver import colorable
 from conftest import BAD_HEADER_VALUES, assignment_from_lists, reference_loads_instance
@@ -206,3 +209,23 @@ def test_loader_matches_reference_on_two_fault_documents():
                     assert _loaded(loads_instance, doc).startswith(f"FormatError: field '{field}'")
                     checked += 1
     assert checked == 2 * 26 * 4 * len(BAD_HEADER_VALUES)
+
+
+# -- atomic writes ----------------------------------------------------------------
+
+@pytest.mark.parametrize("old", [None, "old bytes\n"])
+def test_write_atomic_cleans_up_after_a_failed_replace(tmp_path, monkeypatch, old):
+    target = tmp_path / "out.json"
+    if old is not None:
+        target.write_text(old)
+
+    def refuse(src, dst):
+        raise OSError(errno.EIO, "replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError) as failed:
+        write_atomic(str(target), "new bytes\n")
+    assert (failed.value.errno, failed.value.filename) == (errno.EIO, None)
+    assert list(tmp_path.iterdir()) == ([] if old is None else [target])  # no .tmp-* left
+    if old is not None:
+        assert target.read_text() == old

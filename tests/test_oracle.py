@@ -199,6 +199,12 @@ def test_enumeration_rejects_bad_edges():
             iter_canonical_assignments(3, 1, 1, edges=edges)
 
 
+@pytest.mark.parametrize("n, k, c", [(-1, 1, 1), (2, -1, 1), (2, 1, -1)])
+def test_enumeration_rejects_negative_parameters(n, k, c):
+    with pytest.raises(ValueError, match=rf"need n, k, c >= 0, got \({n}, {k}, {c}\)"):
+        iter_canonical_assignments(n, k, c)
+
+
 def test_enumeration_cap_is_a_refusal():
     with pytest.raises(SearchTooLarge):
         iter_canonical_assignments(5, 3, 1)
